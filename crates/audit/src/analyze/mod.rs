@@ -226,12 +226,9 @@ impl Finding {
 
 /// Fan-out API sets: which names start a parallel region.
 ///
-/// Defaults cover std (`spawn`, `scope`) and the rayon surface; the
-/// rayon shim *declares* its own entry points with analyzer-visible
-/// annotations (`// audit: fanout-source(into_par_iter)` /
-/// `fanout-entry(map)`), which are merged in by
-/// [`Analysis::run_root`] so the shim and the analyzer cannot drift
-/// apart silently.
+/// Defaults cover std (`spawn`, `scope`), the pool's `run_tasks` (the
+/// workspace's one data-parallel entry point) and the rayon surface, so
+/// code written against real rayon is still analyzed.
 #[derive(Clone, Debug)]
 pub struct FanoutApis {
     /// Receiver-chain markers that make a method chain parallel
@@ -260,39 +257,7 @@ impl Default for FanoutApis {
                 "flat_map",
                 "inspect",
             ]),
-            direct: v(&["spawn", "scope"]),
-        }
-    }
-}
-
-impl FanoutApis {
-    /// Merge `audit: fanout-…(name)` annotations found in `text`
-    /// (typically a shim source file) into the sets.
-    pub fn merge_annotations(&mut self, text: &str) {
-        for (marker, bucket) in [
-            ("audit: fanout-source(", 0usize),
-            ("audit: fanout-entry(", 1),
-            ("audit: fanout-direct(", 2),
-        ] {
-            for (pos, _) in text.match_indices(marker) {
-                let rest = &text[pos + marker.len()..];
-                if let Some(end) = rest.find(')') {
-                    let name = rest[..end].trim().to_string();
-                    if name.is_empty()
-                        || !name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-                    {
-                        continue;
-                    }
-                    let set = match bucket {
-                        0 => &mut self.sources,
-                        1 => &mut self.entries,
-                        _ => &mut self.direct,
-                    };
-                    if !set.contains(&name) {
-                        set.push(name);
-                    }
-                }
-            }
+            direct: v(&["spawn", "scope", "run_tasks"]),
         }
     }
 }
@@ -375,8 +340,7 @@ pub struct Analysis {
 impl Analysis {
     /// Analyze the workspace rooted at `root` (the repo checkout).
     ///
-    /// Reads the same library-source file set as the lint pass, plus the
-    /// rayon shim for fan-out annotations.
+    /// Reads the same library-source file set as the lint pass.
     pub fn run_root(root: &Path) -> io::Result<Analysis> {
         let started = Instant::now();
         let mut files = Vec::new();
@@ -386,12 +350,7 @@ impl Analysis {
         for (rel, path) in &files {
             ws.add_file(rel, fs::read_to_string(path)?);
         }
-        let mut apis = FanoutApis::default();
-        let shim = root.join("crates/shims/rayon/src/lib.rs");
-        if let Ok(text) = fs::read_to_string(&shim) {
-            apis.merge_annotations(&text);
-        }
-        let mut analysis = Analysis::run(&ws, &apis);
+        let mut analysis = Analysis::run(&ws, &FanoutApis::default());
         analysis.elapsed_ms = started.elapsed().as_millis();
         Ok(analysis)
     }
@@ -537,22 +496,6 @@ mod tests {
         assert!(s.covers("lib.rs", 2, "CM-A006"), "line-above rule");
         assert!(!s.covers("lib.rs", 2, "CM-A001"), "reason-less is void");
         assert!(!s.covers("other.rs", 1, "CM-A006"));
-    }
-
-    #[test]
-    fn fanout_annotations_merge() {
-        let mut apis = FanoutApis::default();
-        apis.merge_annotations(
-            "/// Runs f on workers. audit: fanout-entry(with_chunks)\n\
-             /// audit: fanout-source(into_par_windows)\nfn x() {}\n",
-        );
-        assert!(apis.entries.iter().any(|e| e == "with_chunks"));
-        assert!(apis.sources.iter().any(|e| e == "into_par_windows"));
-        // Defaults still present; no duplicates on re-merge.
-        let before = apis.entries.len();
-        apis.merge_annotations("audit: fanout-entry(with_chunks)");
-        assert_eq!(apis.entries.len(), before);
-        assert!(apis.entries.iter().any(|e| e == "map"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! **Sources** are environment reads (`env::var`, `env::args`) plus any
 //! function a file *declares* untrusted with an analyzer-visible
-//! annotation, mirroring the fan-out idiom:
+//! annotation:
 //!
 //! ```text
 //! // audit: taint-source(parse_trace_line)

@@ -26,10 +26,10 @@
 //!   `clear()` it.
 //! * **shared-mut-in-worker** — `static mut` anywhere, or
 //!   `RefCell::new(…)` / `Cell::new(…)` inside a function that also
-//!   spawns workers (`spawn(`, `par_iter`, `…::scope(`): non-`Sync`
-//!   interior mutability next to fan-out is either a data race waiting
-//!   for a real-threads build or a refactoring trap. Use per-worker
-//!   state plus a reduction instead.
+//!   spawns workers (`spawn(`, `par_iter`, `…::scope(`, `run_tasks(`):
+//!   non-`Sync` interior mutability next to fan-out is either a data
+//!   race waiting for a real-threads build or a refactoring trap. Use
+//!   per-worker state plus a reduction instead.
 //! * **dropped-span-guard** — a `span!(…)` / `SpanTimer::new(…)` guard
 //!   bound to `_` (`let _ = span!(…)`) or left as a bare statement
 //!   (`span!(…);`) drops at the end of *that expression*, silently
@@ -595,7 +595,7 @@ const NARROW_TYPES: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 const EXTENT_KEYWORDS: [&str; 7] = ["dim", "len", "extent", "stride", "nodes", "shape", "factor"];
 
 /// Worker fan-out markers for **shared-mut-in-worker**.
-const WORKER_APIS: [&str; 3] = ["spawn(", "par_iter", "::scope("];
+const WORKER_APIS: [&str; 4] = ["spawn(", "par_iter", "::scope(", "run_tasks("];
 
 /// Does the doc block immediately above `decl_line` (1-based, in the
 /// original text) contain a `# Panics` section?
@@ -1204,6 +1204,13 @@ mod tests {
         assert_eq!(v[0].rule, Rule::SharedMutInWorker);
         assert_eq!(v[0].line, 2);
         assert!(v[0].message.contains("fan_out"), "{}", v[0].message);
+        // A pool fan-out counts as a worker API too.
+        let src = "pub fn pooled(n: usize) {\n    let acc = RefCell::new(0u64);\n    \
+                   let _ = cubemesh_pool::run_tasks(n, |i| i);\n    let _ = acc;\n}\n";
+        let v = lint_str(src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::SharedMutInWorker);
+        assert!(v[0].message.contains("pooled"), "{}", v[0].message);
     }
 
     #[test]

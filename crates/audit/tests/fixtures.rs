@@ -12,8 +12,12 @@ use std::path::Path;
 
 /// `(fixture file, the one code it must trip)`, covering all of
 /// [`Code::ALL`].
-const CORPUS: [(&str, Code); 13] = [
+const CORPUS: [(&str, Code); 14] = [
     ("a001_worker_capture_mut.rs", Code::WorkerCaptureMut),
+    (
+        "a001_worker_capture_mut_run_tasks.rs",
+        Code::WorkerCaptureMut,
+    ),
     (
         "a002_worker_capture_interior.rs",
         Code::WorkerCaptureInterior,

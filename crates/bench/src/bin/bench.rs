@@ -3,7 +3,7 @@
 //! Times the full hot pipeline — plan, construct, metrics, verify — on a
 //! fixed ladder of paper-scale shapes and writes the results as JSON
 //! (`BENCH_3.json` at the repo root by default). Every rung is also run
-//! with `RAYON_NUM_THREADS=1` to record the sequential wall time and the
+//! pinned to one pool worker to record the sequential wall time and the
 //! parallel speedup, and the bench *asserts* that the parallel and
 //! sequential pipelines produce identical metrics, so the smoke run in
 //! `scripts/check.sh` doubles as a correctness gate.
@@ -17,7 +17,7 @@
 //!
 //! * `--json`      print the JSON document to stdout too
 //! * `--out PATH`  where to write the JSON (default `BENCH_3.json`)
-//! * `--threads N` cap the worker count (sets `RAYON_NUM_THREADS`)
+//! * `--threads N` run every parallel region `N` wide
 //! * `--quick`     only the 16^3 rung (the check.sh smoke)
 //! * `--reps N`    repetitions per rung; min wall time is reported (default 3)
 //! * `--par-only`  skip the sequential re-run (no speedup column)
@@ -69,6 +69,7 @@
 use cubemesh_core::{construct, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;
+use cubemesh_pool as pool;
 use cubemesh_topology::Shape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -246,10 +247,10 @@ fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung]) -> String {
         .map(|n| n.get())
         .unwrap_or(1);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
-    // Honest-baseline marker: with the shim backend on one worker,
+    // Honest-baseline marker: with the pool on one worker,
     // `speedup_construct_metrics` < 1.0 is the forced two-shard merge
     // overhead on a sequential host, not a parallelism regression.
-    let _ = writeln!(out, "  \"parallel_backend\": \"{}\",", rayon::backend());
+    let _ = writeln!(out, "  \"parallel_backend\": \"{}\",", pool::backend_name());
     out.push_str("  \"rungs\": [\n");
     for (i, r) in rungs.iter().enumerate() {
         out.push_str("    {");
@@ -642,18 +643,29 @@ fn parse_shape(s: &str) -> Option<Vec<usize>> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(t) = flag_value(&args, "--threads") else {
+        return run(&args);
+    };
+    match t.parse::<usize>() {
+        Ok(n) if n > 0 => pool::with_threads(n, || run(&args)),
+        _ => {
+            eprintln!("cubemesh-bench: bad --threads '{t}'");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// The bench proper; `main` runs it inside the `--threads` width.
+fn run(args: &[String]) -> ExitCode {
     obs::init_from_env();
     if args.iter().any(|a| a == "--stats") && obs::mode() == obs::StatsMode::Off {
         obs::set_mode(obs::StatsMode::Text);
     }
-    let trace_out = flag_value(&args, "--trace");
+    let trace_out = flag_value(args, "--trace");
     if trace_out.is_some() {
         obs::trace::set_enabled(true);
     }
-    if let Some(t) = flag_value(&args, "--threads") {
-        std::env::set_var("RAYON_NUM_THREADS", &t);
-    }
-    let threads = rayon::current_num_threads();
+    let threads = pool::effective_threads();
     // Lead with the execution environment so a pasted bench line can't be
     // mistaken for numbers from a real work-stealing pool.
     println!(
@@ -661,15 +673,15 @@ fn main() -> ExitCode {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        rayon::backend()
+        pool::backend_name()
     );
     let par_only = args.iter().any(|a| a == "--par-only");
-    let reps: usize = flag_value(&args, "--reps")
+    let reps: usize = flag_value(args, "--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_3.json".to_owned());
+    let out_path = flag_value(args, "--out").unwrap_or_else(|| "BENCH_3.json".to_owned());
 
-    let ladder: Vec<Vec<usize>> = if let Some(list) = flag_value(&args, "--shapes") {
+    let ladder: Vec<Vec<usize>> = if let Some(list) = flag_value(args, "--shapes") {
         match list.split(',').map(parse_shape).collect::<Option<Vec<_>>>() {
             Some(v) => v,
             None => {
@@ -692,28 +704,29 @@ fn main() -> ExitCode {
         drop(emb);
 
         if !par_only {
-            // Sequential re-run: same pipeline with one worker. The env
-            // var is re-read per parallel region, so toggling it here
-            // switches every stage onto the sequential path.
-            std::env::set_var("RAYON_NUM_THREADS", "1");
+            // Sequential re-run: same pipeline pinned to one pool worker,
+            // so every stage takes its sequential path.
             let shape = Shape::new(dims);
             let mut planner = Planner::new();
             let plan = planner.plan(&shape).expect("planned above");
             let (mut seq_construct_s, mut seq_metrics_s) = (f64::MAX, f64::MAX);
             let mut m_seq = m_par;
-            for _ in 0..reps.max(1) {
-                let (emb_seq, c) =
-                    time(|| construct(&shape, &plan).expect("planner-produced plan lowers"));
-                seq_construct_s = seq_construct_s.min(c);
-                let (m, ms) = time(|| emb_seq.metrics());
-                seq_metrics_s = seq_metrics_s.min(ms);
-                m_seq = m;
-                if let Err(e) = emb_seq.verify() {
-                    eprintln!("cubemesh-bench: {shape} sequential verify failed: {e}");
-                    return ExitCode::FAILURE;
+            let seq: Result<(), cubemesh_embedding::VerifyError> = pool::with_threads(1, || {
+                for _ in 0..reps.max(1) {
+                    let (emb_seq, c) =
+                        time(|| construct(&shape, &plan).expect("planner-produced plan lowers"));
+                    seq_construct_s = seq_construct_s.min(c);
+                    let (m, ms) = time(|| emb_seq.metrics());
+                    seq_metrics_s = seq_metrics_s.min(ms);
+                    m_seq = m;
+                    emb_seq.verify()?;
                 }
+                Ok(())
+            });
+            if let Err(e) = seq {
+                eprintln!("cubemesh-bench: {shape} sequential verify failed: {e}");
+                return ExitCode::FAILURE;
             }
-            std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
             if m_seq != m_par {
                 eprintln!(
                     "cubemesh-bench: {shape}: parallel metrics {m_par:?} != sequential {m_seq:?}"
@@ -772,14 +785,14 @@ fn main() -> ExitCode {
     // metric past tolerance. Runs before the replay ladder so the exit
     // code is decided even if BENCH_4 is skipped.
     let mut regressed = false;
-    let tolerance = flag_value(&args, "--tolerance")
+    let tolerance = flag_value(args, "--tolerance")
         .and_then(|v| v.parse::<f64>().ok())
         .map(|pct| pct / 100.0)
         .unwrap_or(cubemesh_bench::DEFAULT_TOLERANCE);
     // Self-test hook for check.sh: deflate this run's throughput 25%
     // (past any sane tolerance) to prove the gate actually trips.
     let inject = args.iter().any(|a| a == "--inject-regression");
-    if let Some(base_path) = flag_value(&args, "--compare") {
+    if let Some(base_path) = flag_value(args, "--compare") {
         let base_doc = match std::fs::read_to_string(&base_path) {
             Ok(d) => d,
             Err(e) => {
@@ -798,11 +811,11 @@ fn main() -> ExitCode {
         // not comparable, so a backend mismatch is a hard error, not a
         // warning — regenerate the baseline on the current backend.
         if let Some(backend) = &baseline.parallel_backend {
-            if backend != rayon::backend() {
+            if backend != pool::backend_name() {
                 eprintln!(
                     "cubemesh-bench: baseline backend '{backend}' != current '{}' — \
                      refusing to compare different executors; regenerate {base_path}",
-                    rayon::backend()
+                    pool::backend_name()
                 );
                 return ExitCode::FAILURE;
             }
@@ -838,7 +851,7 @@ fn main() -> ExitCode {
             tolerance,
         ));
         print!("{}", report.to_text());
-        if let Some(path) = flag_value(&args, "--compare-out") {
+        if let Some(path) = flag_value(args, "--compare-out") {
             if let Err(e) = std::fs::write(&path, report.to_json()) {
                 eprintln!("cubemesh-bench: writing {path}: {e}");
                 return ExitCode::FAILURE;
@@ -867,7 +880,7 @@ fn main() -> ExitCode {
             }
         }
         let service_out =
-            flag_value(&args, "--service-out").unwrap_or_else(|| "BENCH_5.json".to_owned());
+            flag_value(args, "--service-out").unwrap_or_else(|| "BENCH_5.json".to_owned());
         let doc5 = bench5_json(&service_rungs, &service_meta);
         if let Err(e) = std::fs::write(&service_out, &doc5) {
             eprintln!("cubemesh-bench: writing {service_out}: {e}");
@@ -875,7 +888,7 @@ fn main() -> ExitCode {
         }
         println!("wrote {service_out}");
 
-        if let Some(base5_path) = flag_value(&args, "--compare-service") {
+        if let Some(base5_path) = flag_value(args, "--compare-service") {
             let base_doc = match std::fs::read_to_string(&base5_path) {
                 Ok(d) => d,
                 Err(e) => {
@@ -951,7 +964,7 @@ fn main() -> ExitCode {
             );
         }
         let replay_out =
-            flag_value(&args, "--replay-out").unwrap_or_else(|| "BENCH_4.json".to_owned());
+            flag_value(args, "--replay-out").unwrap_or_else(|| "BENCH_4.json".to_owned());
         let doc4 = bench4_json(&replay_rungs);
         if let Err(e) = std::fs::write(&replay_out, &doc4) {
             eprintln!("cubemesh-bench: writing {replay_out}: {e}");

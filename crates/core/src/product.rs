@@ -21,7 +21,6 @@ use cubemesh_embedding::builders::{node_chunks, MeshEdgeView};
 use cubemesh_embedding::{Embedding, RouteSet};
 use cubemesh_obs as obs;
 use cubemesh_topology::{Hypercube, Mesh, Shape};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Edge-id lookup for the canonical mesh edge enumeration: `id(node, axis)`
@@ -235,7 +234,7 @@ pub fn mesh_product_embedding(
         if chunks.len() == 1 {
             fill_routes(0..shape.nodes())
         } else {
-            let parts: Vec<RouteSet> = chunks.into_par_iter().map(fill_routes).collect();
+            let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill_routes(chunks[i].clone()));
             let total_nodes: usize = parts
                 .iter()
                 .map(|p| p.total_length() as usize + p.len())

@@ -14,7 +14,6 @@ use crate::route::RouteSet;
 use crate::router::{route_all, RouteStrategy};
 use cubemesh_gray::{gray_fill_run, gray_mesh_address, AxisLayout};
 use cubemesh_topology::{Hypercube, Mesh, Shape};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Below this many guest nodes a mesh sweep stays sequential: thread
@@ -22,11 +21,11 @@ use std::ops::Range;
 /// of such small shapes in a tight loop.
 pub const PAR_MIN_NODES: usize = 1 << 15;
 
-/// Contiguous node ranges for a parallel mesh sweep: one per rayon
+/// Contiguous node ranges for a parallel mesh sweep: one per pool
 /// worker, or a single whole-range chunk when the sweep is too small (or
 /// the worker pool has one thread) to be worth fanning out.
 pub fn node_chunks(nodes: usize) -> Vec<Range<usize>> {
-    let threads = rayon::current_num_threads();
+    let threads = cubemesh_pool::effective_threads();
     if threads <= 1 || nodes < PAR_MIN_NODES {
         return std::iter::once(0..nodes).collect();
     }
@@ -129,6 +128,7 @@ impl MeshEdgeView {
 }
 
 /// Iterator over (a node range of) a [`MeshEdgeView`].
+#[derive(Clone)]
 pub struct MeshEdgeIter<'a> {
     view: &'a MeshEdgeView,
     coords: Vec<usize>,
@@ -187,7 +187,7 @@ pub fn fill_node_map(shape: &Shape, f: impl Fn(&[usize]) -> u64 + Sync) -> Vec<u
     if chunks.len() == 1 {
         return fill(0..nodes);
     }
-    let parts: Vec<Vec<u64>> = chunks.into_par_iter().map(fill).collect();
+    let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill(chunks[i].clone()));
     let mut map = Vec::with_capacity(nodes);
     for part in parts {
         map.extend_from_slice(&part);
@@ -263,7 +263,7 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
     if chunks.len() == 1 {
         return fill(0..nodes);
     }
-    let parts: Vec<Vec<u64>> = chunks.into_par_iter().map(fill).collect();
+    let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill(chunks[i].clone()));
     let mut map = Vec::with_capacity(nodes);
     for part in parts {
         map.extend_from_slice(&part);
@@ -298,7 +298,7 @@ pub fn gray_mesh_embedding(shape: &Shape) -> Embedding {
     let routes = if chunks.len() == 1 {
         build(0..shape.nodes())
     } else {
-        let parts: Vec<RouteSet> = chunks.into_par_iter().map(build).collect();
+        let parts = cubemesh_pool::run_tasks(chunks.len(), |i| build(chunks[i].clone()));
         let mut routes = RouteSet::with_capacity(view.edge_count(), view.edge_count() * 2);
         for part in &parts {
             routes.append(part);

@@ -105,6 +105,7 @@ impl GuestEdges {
 }
 
 /// Iterator over a [`GuestEdges`] (or a chunk of one).
+#[derive(Clone)]
 pub enum GuestEdgeIter<'a> {
     /// Over a materialized slice.
     Explicit(std::slice::Iter<'a, (u32, u32)>),

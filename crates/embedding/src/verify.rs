@@ -5,7 +5,7 @@
 //! tests, so a bug in any builder surfaces as a precise [`VerifyError`].
 //!
 //! Route checks shard over contiguous edge-id chunks when more than one
-//! rayon thread is available. Chunks are scanned in order within a worker
+//! pool thread is available. Chunks are scanned in order within a worker
 //! and the error from the earliest failing chunk is reported, so the
 //! parallel path returns *exactly* the error the sequential scan would —
 //! [`verify_many_to_one_par`] and [`verify_many_to_one_seq`] are
@@ -15,7 +15,6 @@ use crate::builders::PAR_MIN_NODES;
 use crate::map::Embedding;
 use cubemesh_obs as obs;
 use cubemesh_topology::hamming;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Why an embedding failed validation.
@@ -115,7 +114,7 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Validate an embedding end to end. See [`VerifyError`] for the checks.
-/// Route checks shard across rayon threads for large edge sets; the result
+/// Route checks shard across pool threads for large edge sets; the result
 /// (including which error is reported) is identical to a sequential scan.
 pub fn verify_embedding(e: &Embedding) -> Result<(), VerifyError> {
     check_injective(e)?;
@@ -155,7 +154,7 @@ fn check_injective(e: &Embedding) -> Result<(), VerifyError> {
 /// address ranges and route well-formedness only. A route for an edge
 /// whose endpoints share an address is the single-node path.
 pub fn verify_many_to_one(e: &Embedding) -> Result<(), VerifyError> {
-    if rayon::current_num_threads() > 1 && e.edge_count() >= PAR_MIN_NODES {
+    if cubemesh_pool::effective_threads() > 1 && e.edge_count() >= PAR_MIN_NODES {
         verify_many_to_one_par(e)
     } else {
         verify_many_to_one_seq(e)
@@ -175,13 +174,13 @@ pub fn verify_many_to_one_seq(e: &Embedding) -> Result<(), VerifyError> {
 pub fn verify_many_to_one_par(e: &Embedding) -> Result<(), VerifyError> {
     let _span = obs::span!("verify.par");
     check_addresses(e)?;
-    let parts = rayon::current_num_threads().max(2);
+    let parts = cubemesh_pool::effective_threads().max(2);
     obs::trace::gauge("verify.shards", parts as u64);
     let chunks = e.edges().chunks(parts);
-    let results: Vec<Result<(), VerifyError>> = chunks
-        .into_par_iter()
-        .map(|(first_edge, edges)| check_route_range(e, first_edge, edges))
-        .collect();
+    let results = cubemesh_pool::run_tasks(chunks.len(), |i| {
+        let (first_edge, edges) = chunks[i].clone();
+        check_route_range(e, first_edge, edges)
+    });
     // Chunks cover ascending edge-id ranges, and within a chunk the scan is
     // sequential — so the first Err in chunk order is the globally first.
     for r in results {

@@ -1,7 +1,9 @@
 //! # cubemesh-pool — persistent work-stealing executor
 //!
-//! The execution engine behind the `rayon` shim (DESIGN.md §10). A fixed
-//! set of worker threads is spawned lazily on the first parallel region
+//! The execution engine behind every parallel region in the workspace
+//! (DESIGN.md §10): construct, metrics, verify, the census sweeps, the
+//! replay rate sweep and the plan-DB builder all cut their own work into
+//! tasks and hand them to [`run_tasks`]. A fixed set of worker threads is spawned lazily on the first parallel region
 //! and persists for the life of the process; each region distributes its
 //! task indices across per-participant deques, participants pop locally
 //! and steal half a victim's deque when their own runs dry, and the
@@ -14,11 +16,10 @@
 //! which task; callers own all reduction/merge semantics, so stealing is
 //! invisible to output bytes.
 //!
-//! Sizing: `CUBEMESH_THREADS` > `RAYON_NUM_THREADS` >
-//! `available_parallelism()`, re-read at every region so benches can
-//! toggle a sequential rerun mid-process. Tests use the scoped
-//! [`with_threads`] override instead of mutating the (process-global)
-//! environment.
+//! Sizing: the scoped [`with_threads`] override, else `CUBEMESH_THREADS`,
+//! else `available_parallelism()`, re-read at every region. Tests and
+//! the bench's sequential rerun use [`with_threads`] instead of mutating
+//! the (process-global) environment.
 //!
 //! Panics: the first worker panic is captured, remaining tasks are
 //! abandoned (counted but not run), and the original payload is resumed
@@ -33,9 +34,9 @@ use std::time::Instant;
 
 use cubemesh_obs as obs;
 
-/// Regions are split into roughly `threads * OVERSPLIT` chunks by the
-/// shim so stealing can rebalance ragged workloads; exposed so callers
-/// and docs agree on the policy.
+/// Oversplit factor for callers whose tasks have ragged costs: cutting a
+/// region into `threads * OVERSPLIT` tasks gives steal-half rebalancing
+/// enough granularity while per-task overhead stays negligible.
 pub const OVERSPLIT: usize = 4;
 
 /// Acquire a mutex, recovering the guard from a poisoned lock (a worker
@@ -52,8 +53,9 @@ thread_local! {
     static OVERRIDE: AtomicUsize = const { AtomicUsize::new(0) };
 }
 
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var)
+/// `CUBEMESH_THREADS`, when set to a positive integer.
+fn env_threads() -> Option<usize> {
+    std::env::var("CUBEMESH_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
@@ -61,20 +63,14 @@ fn env_threads(var: &str) -> Option<usize> {
 
 /// Effective parallelism for a region started on this thread right now:
 /// scoped [`with_threads`] override, else `CUBEMESH_THREADS`, else
-/// `RAYON_NUM_THREADS`, else `available_parallelism()`.
+/// `available_parallelism()`.
 pub fn effective_threads() -> usize {
     let forced = OVERRIDE.with(|o| o.load(SeqCst));
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = env_threads("CUBEMESH_THREADS") {
-        return n;
-    }
-    if let Some(n) = env_threads("RAYON_NUM_THREADS") {
-        return n;
-    }
-    thread::available_parallelism()
-        .map(|n| n.get())
+    env_threads()
+        .or_else(|| thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
 }
 

@@ -158,9 +158,9 @@ echo "== trace: determinism (event sequence stable modulo timestamps) =="
 # Two traced runs of the same embed must produce identical JSONL event
 # sequences once timestamps are stripped (ts_ns is always the last
 # field, so a sed suffices). Single-threaded to pin chunk order.
-RAYON_NUM_THREADS=1 cargo run --release -q --bin cubemesh -- \
+CUBEMESH_THREADS=1 cargo run --release -q --bin cubemesh -- \
     embed 9 9 9 --trace /tmp/cubemesh_trace_a.json >/dev/null
-RAYON_NUM_THREADS=1 cargo run --release -q --bin cubemesh -- \
+CUBEMESH_THREADS=1 cargo run --release -q --bin cubemesh -- \
     embed 9 9 9 --trace /tmp/cubemesh_trace_b.json >/dev/null
 sed -E 's/,"ts_ns":[0-9]+//' /tmp/cubemesh_trace_a.jsonl > /tmp/cubemesh_trace_a.seq
 sed -E 's/,"ts_ns":[0-9]+//' /tmp/cubemesh_trace_b.jsonl > /tmp/cubemesh_trace_b.seq
