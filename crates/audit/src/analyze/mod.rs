@@ -20,7 +20,6 @@
 //! | `CM-A010` | `range-add-overflow` | unchecked `+` where both operands are unbounded and at least one is shape/address-typed |
 //! | `CM-A011` | `taint-unchecked-sink` | an untrusted value (env read, annotated decode) reaching a slice index or `Vec::with_capacity` without a validation boundary |
 //! | `CM-A012` | `taint-unvalidated-shape` | an untrusted value reaching a `Shape::…` constructor without validation |
-//! | `CM-A013` | `dropped-result` | the `Result` of a workspace fallible function dropped (bare statement, `let _ =`, or a binding never read) |
 //!
 //! Every finding carries *call-path evidence* — the chain of qualified
 //! function names from the fan-out site to the sink — and a stable
@@ -42,7 +41,6 @@ pub mod ordering;
 pub mod range;
 pub mod reduction;
 pub mod regions;
-pub mod results;
 pub mod spans;
 pub mod taint;
 
@@ -83,8 +81,6 @@ pub enum Code {
     TaintUncheckedSink,
     /// Untrusted value reaches a shape constructor unvalidated.
     TaintUnvalidatedShape,
-    /// `Result` of a workspace fallible function is dropped.
-    DroppedResult,
 }
 
 impl Code {
@@ -103,7 +99,6 @@ impl Code {
             Code::RangeAddOverflow => "CM-A010",
             Code::TaintUncheckedSink => "CM-A011",
             Code::TaintUnvalidatedShape => "CM-A012",
-            Code::DroppedResult => "CM-A013",
         }
     }
 
@@ -122,12 +117,11 @@ impl Code {
             Code::RangeAddOverflow => "range-add-overflow",
             Code::TaintUncheckedSink => "taint-unchecked-sink",
             Code::TaintUnvalidatedShape => "taint-unvalidated-shape",
-            Code::DroppedResult => "dropped-result",
         }
     }
 
     /// All analyzer codes, in code order.
-    pub const ALL: [Code; 13] = [
+    pub const ALL: [Code; 12] = [
         Code::WorkerCaptureMut,
         Code::WorkerCaptureInterior,
         Code::WorkerReachStaticMut,
@@ -140,7 +134,6 @@ impl Code {
         Code::RangeAddOverflow,
         Code::TaintUncheckedSink,
         Code::TaintUnvalidatedShape,
-        Code::DroppedResult,
     ];
 }
 
@@ -385,9 +378,6 @@ impl Analysis {
         t0 = Instant::now();
         taint::check(ws, &mut findings);
         pass_ms.push(("taint", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        results::check(ws, &mut findings);
-        pass_ms.push(("results", t0.elapsed().as_millis()));
 
         findings.retain(|f| !suppress.covers(&f.file, f.line, f.code.as_str()));
         findings.sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));

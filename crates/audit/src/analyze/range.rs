@@ -1479,7 +1479,7 @@ fn shl_hi(a: u128, b: u128) -> u128 {
     if b >= 64 {
         return TOP;
     }
-    a.saturating_mul(1u128 << (b as u32).min(127))
+    a.saturating_mul(1u128 << b)
 }
 
 fn bound_str(hi: u128) -> String {

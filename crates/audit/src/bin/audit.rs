@@ -1,15 +1,16 @@
 //! The `cubemesh-audit` gate binary.
 //!
 //! ```text
-//! cubemesh-audit lint [--json] [--sarif FILE] [--root DIR] [--allowlist FILE]
-//!     Run the workspace lints; print violations; exit 1 on any.
+//! cubemesh-audit lint [--json] [--sarif FILE] [--root DIR]
+//!     Run the workspace lints (CM-L006 alloc-in-chunk-loop, CM-L007
+//!     shared-mut-in-worker); print violations; exit 1 on any.
 //!     --json emits the shared cubemesh-audit-diag/v1 schema;
 //!     --sarif additionally writes a SARIF 2.1.0 log to FILE.
 //! cubemesh-audit analyze [--json] [--sarif FILE] [--baseline JSON] [--root DIR]
-//!     Run the interprocedural dataflow analyzer (CM-A001..A013):
+//!     Run the interprocedural dataflow analyzer (CM-A001..A012):
 //!     worker-capture escapes, non-deterministic reductions,
 //!     lock/atomic discipline, span-stack balance, value-range
-//!     overflow proofs, taint tracking and dropped Results. Exit 1
+//!     overflow proofs and taint tracking. Exit 1
 //!     on any finding; each finding carries call-path evidence from
 //!     the fan-out site to the sink. --baseline diffs against a prior
 //!     `analyze --json` artifact and reports only new findings;
@@ -36,8 +37,7 @@
 
 use cubemesh_audit::{
     certify_fold, certify_torus, lint_workspace, manytoone_floors, mesh_floors, sweep,
-    sweep_contract, sweep_fold, sweep_torus, torus_floors, Allowlist, Certificate, CrosscheckError,
-    Floors,
+    sweep_contract, sweep_fold, sweep_torus, torus_floors, Certificate, CrosscheckError, Floors,
 };
 use cubemesh_core::Planner;
 use cubemesh_manytoone::plan_corollary5;
@@ -124,20 +124,9 @@ fn write_sarif(path: &str, tool: &str, diags: &[cubemesh_audit::sarif::Diag]) ->
 fn cmd_lint(args: &[String]) -> ExitCode {
     let root = PathBuf::from(flag_value(args, "--root").unwrap_or_else(|| ".".to_owned()));
     let json = args.iter().any(|a| a == "--json");
-    let allow_path = flag_value(args, "--allowlist")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("audit-allowlist.txt"));
-    let allow = match Allowlist::load(&allow_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cubemesh-audit: bad allowlist: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let entries = allow.len();
     let sarif_out = flag_value(args, "--sarif");
     let started = std::time::Instant::now();
-    match lint_workspace(&root, allow) {
+    match lint_workspace(&root) {
         Ok(violations) => {
             if let Some(path) = &sarif_out {
                 let diags: Vec<cubemesh_audit::sarif::Diag> =
@@ -156,12 +145,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                     cubemesh_audit::lint::lint_report_json(
                         &violations,
                         nfiles,
-                        entries,
                         started.elapsed().as_millis(),
                     )
                 );
             } else if violations.is_empty() {
-                println!("audit lint: clean ({entries} allowlist entries)");
+                println!("audit lint: clean");
             } else {
                 for v in &violations {
                     println!("{v}");

@@ -59,7 +59,9 @@ fn cut_average_congestion(edges: usize, host_dim: u32) -> u32 {
         return 1;
     }
     let host_edges = (host_dim as u64) << (host_dim - 1);
-    ((edges as u64).div_ceil(host_edges) as u32).max(1)
+    u32::try_from((edges as u64).div_ceil(host_edges))
+        .unwrap_or(u32::MAX)
+        .max(1)
 }
 
 /// Floors for a one-to-one mesh embedding into `Q_{host_dim}`.

@@ -411,11 +411,9 @@ fn is_ident_continue(c: u8) -> bool {
 /// (newlines preserved), and all other tokens appear verbatim at their
 /// original offsets.
 ///
-/// This is the token-stream replacement for the legacy
-/// `lint::strip_noncode` — byte-offset- and line-compatible with the
-/// original text, so line/column diagnostics need no mapping, but
-/// guaranteed (by the lexer, not by heuristics) to contain no comment or
-/// literal text.
+/// The view is byte-offset- and line-compatible with the original text,
+/// so line/column diagnostics need no mapping, and it is guaranteed (by
+/// the lexer, not by heuristics) to contain no comment or literal text.
 pub fn code_view(src: &str, tokens: &[Token]) -> String {
     let mut out = vec![b' '; src.len()];
     let bytes = src.as_bytes();

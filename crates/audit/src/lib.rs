@@ -15,11 +15,11 @@
 //!   rigorous optimality gap; [`crosscheck`] then builds real embeddings
 //!   and asserts measured ≤ certificate and certificate ≥ floor.
 //! * [`lint`] — source-level rules over the workspace's own library code:
-//!   no `unwrap`/`expect`/`panic!` outside tests (explicit, shrinking
-//!   allowlist; allowlisted functions must carry `# Panics` docs), no
-//!   narrowing casts on 64-bit cube addresses, no narrowing casts of
-//!   shape-extent products, no allocation inside chunk/shard loops, and
-//!   no shared mutable state in worker-spawning functions.
+//!   no allocation inside chunk/shard loops and no shared mutable state
+//!   in worker-spawning functions. Panic discipline, narrowing casts,
+//!   `# Panics` docs and dropped `#[must_use]` values are clippy and
+//!   rustc lints, set once in the root `Cargo.toml`'s
+//!   `[workspace.lints]` table.
 //! * [`analyze`] — the interprocedural concurrency/determinism analyzer
 //!   built on a real front end: a lossless Rust [`lexer`], a lightweight
 //!   item/closure parser ([`ast`]) producing a workspace symbol table,
@@ -32,10 +32,9 @@
 //!   front end sits a dataflow engine — an intraprocedural [`cfg`] and
 //!   a generic worklist solver with widening ([`dataflow`]) — powering
 //!   value-range overflow proofs on shape/address arithmetic
-//!   (`CM-A009`–`A010`), taint tracking from untrusted inputs to
-//!   index/capacity/constructor sinks (`CM-A011`–`A012`), and def-use
-//!   dropped-`Result` analysis (`CM-A013`). Findings serialize in the
-//!   shared `cubemesh-audit-diag/v1` schema, diff against a prior
+//!   (`CM-A009`–`A010`) and taint tracking from untrusted inputs to
+//!   index/capacity/constructor sinks (`CM-A011`–`A012`). Findings
+//!   serialize in the shared `cubemesh-audit-diag/v1` schema, diff against a prior
 //!   artifact ([`analyze::baseline_keys`], `analyze --baseline`), and
 //!   export as SARIF 2.1.0 ([`sarif`]) for editor/CI annotation.
 
@@ -62,6 +61,6 @@ pub use crosscheck::{
     sweep, sweep_contract, sweep_fold, sweep_torus, CrosscheckError, SweepReport,
 };
 pub use fingerprint::{fingerprint, fnv1a};
-pub use lint::{lint_source, lint_workspace, Allowlist, Rule, Violation};
+pub use lint::{lint_source, lint_workspace, Rule, Violation};
 pub use manytoone::{certify_contract, certify_fold};
 pub use torus::{certify_torus, certify_torus_combo};

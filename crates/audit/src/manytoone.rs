@@ -42,15 +42,17 @@ pub fn certify_contract(base_shape: &Shape, base: &Certificate, factors: &[usize
         .unwrap_or(1);
     let big_nodes = (base_shape.nodes() as u64).saturating_mul(load_mult);
     let load = base.load_factor * load_mult;
-    let congestion = (base.congestion_bound as u64)
-        .saturating_mul(co_factor)
-        .min(u32::MAX as u64);
+    let congestion = (base.congestion_bound as u64).saturating_mul(co_factor);
     Certificate {
         host_dim: base.host_dim,
         dilation_bound: base.dilation_bound,
-        congestion_bound: congestion as u32,
+        congestion_bound: u32::try_from(congestion).unwrap_or(u32::MAX),
         expansion: (base.host_dim as f64).exp2() / big_nodes as f64,
-        minimal: load == optimal_load_factor(big_nodes as usize, base.host_dim),
+        minimal: load
+            == optimal_load_factor(
+                usize::try_from(big_nodes).unwrap_or(usize::MAX),
+                base.host_dim,
+            ),
         leaves: base.leaves,
         load_factor: load,
     }
@@ -93,10 +95,11 @@ pub fn certify_fold(shape: &Shape, plan: &FoldPlan) -> Result<Certificate, Audit
         }
         covered = covered.saturating_mul((plan.lprime[i] as u128) << plan.ns[i]);
     }
-    if covered > u64::MAX as u128 || ceil_pow2(covered as u64) != ceil_pow2(shape.nodes() as u64) {
+    let covered = u64::try_from(covered).ok();
+    if covered.is_none_or(|c| ceil_pow2(c) != ceil_pow2(shape.nodes() as u64)) {
         return Err(AuditError::FoldExpansionMismatch {
             shape: shape.clone(),
-            covered: covered.min(u64::MAX as u128) as u64,
+            covered: covered.unwrap_or(u64::MAX),
         });
     }
 
@@ -119,8 +122,8 @@ pub fn certify_fold(shape: &Shape, plan: &FoldPlan) -> Result<Certificate, Audit
     let load = lprod.checked_shl(folds).unwrap_or(u64::MAX);
     let congestion = co_factor
         .checked_shl(folds)
-        .unwrap_or(u64::MAX)
-        .min(u32::MAX as u64) as u32;
+        .and_then(|c| u32::try_from(c).ok())
+        .unwrap_or(u32::MAX);
     let floor = optimal_load_factor(shape.nodes(), n);
     if load < floor {
         return Err(AuditError::LoadBelowFloor {

@@ -22,9 +22,9 @@ use crate::lint::Violation;
 /// produced it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diag {
-    /// Stable code (`CM-L001`…, `CM-A001`…). Becomes the SARIF `ruleId`.
+    /// Stable code (`CM-L006`…, `CM-A001`…). Becomes the SARIF `ruleId`.
     pub code: String,
-    /// Human-readable rule slug (`panic-in-lib`, `range-mul-overflow`).
+    /// Human-readable rule slug (`shared-mut-in-worker`, `range-mul-overflow`).
     pub rule: String,
     /// Repo-relative file path.
     pub file: String,
@@ -43,7 +43,7 @@ impl From<&Violation> for Diag {
             code: v.rule.code().to_owned(),
             rule: v.rule.slug().to_owned(),
             file: v.file.clone(),
-            line: v.line as u32,
+            line: u32::try_from(v.line).unwrap_or(u32::MAX),
             message: v.message.clone(),
             path: Vec::new(),
         }
@@ -152,11 +152,11 @@ mod tests {
                 path: vec!["x::outer".to_owned(), "x::inner".to_owned()],
             },
             Diag {
-                code: "CM-L001".to_owned(),
-                rule: "panic-in-lib".to_owned(),
+                code: "CM-L007".to_owned(),
+                rule: "shared-mut-in-worker".to_owned(),
                 file: "crates/y/src/lib.rs".to_owned(),
                 line: 3,
-                message: "unwrap in library code".to_owned(),
+                message: "static mut in library code".to_owned(),
                 path: Vec::new(),
             },
             Diag {
@@ -217,12 +217,12 @@ mod tests {
         let v = Violation {
             file: "a.rs".to_owned(),
             line: 5,
-            rule: crate::lint::Rule::PanicInLib,
+            rule: crate::lint::Rule::SharedMutInWorker,
             message: "m".to_owned(),
         };
         let d = Diag::from(&v);
-        assert_eq!(d.code, "CM-L001");
-        assert_eq!(d.rule, "panic-in-lib");
+        assert_eq!(d.code, "CM-L007");
+        assert_eq!(d.rule, "shared-mut-in-worker");
         assert!(d.path.is_empty());
     }
 }

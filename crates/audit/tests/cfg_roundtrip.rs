@@ -17,6 +17,11 @@
 //! through `Cfg::build` and checked. Any Rust construct the repo
 //! starts using immediately joins the corpus.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a workspace that cannot be walked or read fails the test"
+)]
+
 use cubemesh_audit::ast::Workspace;
 use cubemesh_audit::cfg::Cfg;
 use cubemesh_audit::lexer::{Delim, TokKind};

@@ -12,6 +12,15 @@
 //! cuts that split block comments, raw strings and string literals mid-
 //! token, where a heuristic scanner would desynchronize.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a workspace that cannot be walked or read fails the test"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "fuzz seeds are truncated on purpose to pick a source and a printable byte"
+)]
+
 use cubemesh_audit::lexer::{code_view, lex, TokKind};
 use cubemesh_audit::lint::walk_lib_sources;
 use proptest::prelude::*;

@@ -1,24 +1,18 @@
-//! End-to-end lint gate tests: the real workspace passes with the real
-//! allowlist, and a seeded violation in a synthetic tree is caught.
+//! End-to-end lint gate tests: the real workspace passes, and a seeded
+//! violation in a synthetic tree is caught.
 
-use cubemesh_audit::{lint_workspace, Allowlist, Rule};
+use cubemesh_audit::{lint_workspace, Rule};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/audit sits two levels under the repo root")
-        .to_path_buf()
+    // crates/audit sits two levels under the repo root.
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 #[test]
-fn real_workspace_is_clean_under_the_real_allowlist() {
-    let root = repo_root();
-    let allow = Allowlist::load(&root.join("audit-allowlist.txt")).expect("allowlist parses");
-    assert!(allow.len() <= 20, "allowlist must stay small");
-    let violations = lint_workspace(&root, allow).expect("lint runs");
+fn real_workspace_is_clean() {
+    let violations = lint_workspace(&repo_root()).expect("lint runs");
     assert!(
         violations.is_empty(),
         "workspace must lint clean:\n{}",
@@ -37,32 +31,14 @@ fn seeded_violation_fails_the_gate() {
     fs::create_dir_all(&src).expect("temp tree");
     fs::write(
         src.join("lib.rs"),
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "static mut HITS: u64 = 0;\npub fn f() {}\n",
     )
     .expect("write seeded file");
 
-    let violations = lint_workspace(&dir, Allowlist::default()).expect("lint runs");
+    let violations = lint_workspace(&dir).expect("lint runs");
     fs::remove_dir_all(&dir).ok();
 
     assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].rule, Rule::PanicInLib);
-    assert!(violations[0].message.contains("`f`"), "{}", violations[0]);
-}
-
-#[test]
-fn narrowing_addr_cast_is_seeded_and_caught() {
-    let dir = std::env::temp_dir().join(format!("cubemesh-audit-cast-{}", std::process::id()));
-    let src = dir.join("crates/bad/src");
-    fs::create_dir_all(&src).expect("temp tree");
-    fs::write(
-        src.join("lib.rs"),
-        "pub fn g(addr: u64) -> u32 { addr as u32 }\n",
-    )
-    .expect("write seeded file");
-
-    let violations = lint_workspace(&dir, Allowlist::default()).expect("lint runs");
-    fs::remove_dir_all(&dir).ok();
-
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].rule, Rule::NarrowingAddrCast);
+    assert_eq!(violations[0].rule, Rule::SharedMutInWorker);
+    assert_eq!(violations[0].line, 1, "{}", violations[0]);
 }

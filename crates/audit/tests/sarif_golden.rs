@@ -24,11 +24,11 @@ fn sample() -> Vec<Diag> {
             ],
         },
         Diag {
-            code: "CM-L001".to_owned(),
-            rule: "panic-in-lib".to_owned(),
+            code: "CM-L007".to_owned(),
+            rule: "shared-mut-in-worker".to_owned(),
             file: "crates/topology/src/graph.rs".to_owned(),
             line: 7,
-            message: "`.unwrap()` in library code without an allowlist entry".to_owned(),
+            message: "`static mut` is an unconditional data race under real threads".to_owned(),
             path: Vec::new(),
         },
     ]

@@ -1,6 +1,11 @@
 //! Embedding-construction benchmarks: how fast the §4.2 strategy plans
 //! and builds, and what the metrics engine costs.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bench shapes are planner-covered; a failure aborts the bench"
+)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cubemesh_core::{construct, Planner};
 use cubemesh_embedding::gray_mesh_embedding;

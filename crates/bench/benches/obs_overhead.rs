@@ -8,6 +8,15 @@
 //! hard assertions — `cargo bench --bench obs_overhead` fails if the
 //! trace guard stops being cheap.
 
+#![expect(
+    clippy::expect_used,
+    reason = "the 64^3 bench shape is planner-covered; a failure aborts the bench"
+)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "timings are finite, so partial_cmp never fails"
+)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cubemesh_census::census_3d;
 use cubemesh_core::{construct, Planner};

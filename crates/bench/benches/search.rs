@@ -2,6 +2,15 @@
 //! takes to rediscover the paper's tables, and the congestion-2
 //! certification cost.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bench shapes are catalog entries; a failure aborts the bench"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "bench guests are tiny, far below 2^32 nodes"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use cubemesh_embedding::builders::mesh_edge_list;
 use cubemesh_search::routes::certify_congestion;

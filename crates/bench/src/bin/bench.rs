@@ -66,6 +66,19 @@
 //! shared/noisy host a single-shot timing can be off by an order of
 //! magnitude, and the minimum is the best estimate of the code's cost.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "bench shapes come from the planner, so they construct; a failure aborts the bench"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "u64 nanoseconds overflow only after 584 years; replay message counts fit usize"
+)]
+
 use cubemesh_core::{construct, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;

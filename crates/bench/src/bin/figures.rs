@@ -8,6 +8,15 @@
 //! `--stats` (or `CUBEMESH_STATS=text|json`) prints an instrumentation
 //! snapshot after the selected figures run.
 
+#![expect(
+    clippy::expect_used,
+    reason = "figure inputs are fixed paper shapes that plan, construct and verify; a failure aborts the run"
+)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "figure inputs are fixed paper shapes that plan, construct and verify; a failure aborts the run"
+)]
+
 use cubemesh_census::two_d::census_2d_full;
 use cubemesh_census::{
     census_2d, census_3d, constructive_exceptions_up_to, exceptions_up_to,

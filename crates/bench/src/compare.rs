@@ -84,7 +84,10 @@ pub fn load_baseline(json: &str) -> Result<Baseline, String> {
             shape,
             construct_nodes_per_s: num(r.get("construct_nodes_per_s")).unwrap_or(0.0),
             metrics_hops_per_s: num(r.get("metrics_hops_per_s")).unwrap_or(0.0),
-            peak_rss_kb: num(r.get("peak_rss_kb")).unwrap_or(0.0) as u64,
+            peak_rss_kb: r
+                .get("peak_rss_kb")
+                .and_then(JsonValue::as_u64)
+                .unwrap_or(0),
         });
     }
     let mut kernels = Vec::new();
@@ -102,8 +105,11 @@ pub fn load_baseline(json: &str) -> Result<Baseline, String> {
         }
     }
     Ok(Baseline {
-        threads: num(doc.get("threads")).unwrap_or(0.0) as u64,
-        host_cores: num(doc.get("host_cores")).unwrap_or(0.0) as u64,
+        threads: doc.get("threads").and_then(JsonValue::as_u64).unwrap_or(0),
+        host_cores: doc
+            .get("host_cores")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0),
         parallel_backend: doc
             .get("parallel_backend")
             .and_then(JsonValue::as_str)
@@ -150,6 +156,10 @@ impl CompareReport {
     }
 
     /// Human-readable report, one line per metric.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -183,6 +193,10 @@ impl CompareReport {
     }
 
     /// Machine-readable report (the check.sh artifact).
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -5,6 +5,11 @@
 //!
 //! Usage: `sweep2d [max_nodes] [budget]`
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "searched guests are tiny, far below 2^32 nodes"
+)]
+
 use cubemesh_census::cover::{workspace_catalog, Cover2};
 use cubemesh_embedding::builders::mesh_edge_list;
 use cubemesh_search::backtrack::{find_embedding, SearchConfig, SearchOutcome};

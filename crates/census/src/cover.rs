@@ -160,6 +160,10 @@ impl<'a> Cover3<'a> {
     }
 
     /// Is `l1 × l2 × l3` constructively coverable?
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sorted census extents are at most Shape::MAX_AXIS = 2^15, so each fits a u32 memo key"
+    )]
     pub fn covered(&mut self, l1: usize, l2: usize, l3: usize) -> bool {
         let mut l = [l1, l2, l3];
         l.sort_unstable();

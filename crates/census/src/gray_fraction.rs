@@ -47,6 +47,10 @@ pub fn gray_fraction_monte_carlo(k: u32, samples: u64, seed: u64) -> f64 {
 /// `Σ ⌈log₂ ℓᵢ⌉ = ⌈log₂ Π ℓᵢ⌉`. Returns `None` for `k > 3`; exact
 /// enumeration is only implemented for the ranks the paper's Figure 2
 /// plots, and larger `k` should use the Monte-Carlo estimate.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the exact census runs n <= 16 (2^16 task indices); u64 to usize is lossless on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+)]
 pub fn gray_fraction_exact(k: u32, n: u32) -> Option<f64> {
     let limit = 1u64 << n;
     match k {

@@ -8,6 +8,13 @@ use cubemesh_topology::Shape;
 /// planner. Enumerates sorted tuples with permutation weights; intended
 /// for modest `limit` (the planner's rank ≥ 4 search is exhaustive over
 /// bipartitions).
+///
+/// # Panics
+/// Panics if `k < 4`; lower ranks have dedicated censuses.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "k is a mesh rank, far below u32::MAX"
+)]
 pub fn higher_k_coverage(k: usize, limit: usize) -> (u64, u64) {
     assert!(k >= 4, "use the dedicated 3-D census below rank 4");
     let mut planner = Planner::new();

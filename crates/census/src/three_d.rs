@@ -55,6 +55,9 @@ fn multiplicity(a: usize, b: usize, c: usize) -> u64 {
 /// Run the census for `ℓᵢ ≤ 2ⁿ`. Enumerates sorted triples in parallel
 /// and weights by permutation multiplicity (the classification is
 /// permutation-invariant; tested in `cubemesh-core`).
+///
+/// # Panics
+/// Panics if `n` is outside the paper's domain `1..=9`.
 pub fn census_3d(n: u32) -> ThreeDCensus {
     assert!((1..=9).contains(&n), "paper domain is n = 1..9");
     let _span = obs::span!("census.3d");

@@ -77,6 +77,10 @@ pub fn lift(emb: Embedding, shape: &Shape) -> Embedding {
 /// (`small ≤ big` axiswise): nodes with out-of-range coordinates are
 /// dropped, routes of surviving edges transfer verbatim. All metrics can
 /// only improve; the host cube is unchanged.
+///
+/// # Panics
+/// Panics if `small` does not fit in `big`, or if `emb` is not an
+/// embedding of `big`.
 pub fn restrict(emb: &Embedding, big: &Shape, small: &Shape) -> Embedding {
     assert!(small.fits_in(big), "{} does not fit in {}", small, big);
     assert_eq!(emb.guest_nodes(), big.nodes());

@@ -32,6 +32,10 @@ pub struct MeshEdgeIndex {
 
 impl MeshEdgeIndex {
     /// Build the lookup for a mesh shape.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "materialized mesh edge ids are u32 by the MeshEdgeIndex layout; meshes it is built for have fewer than 2^32 edges"
+    )]
     pub fn new(shape: &Shape) -> Self {
         let rank = shape.rank();
         let mesh = Mesh::new(shape.clone());
@@ -60,6 +64,10 @@ impl MeshEdgeIndex {
 /// are emitted `G₂`-type first (per `u`, in `e2`'s edge order), then
 /// `G₁`-type (per `v`, in `e1`'s edge order). The host is
 /// `Q_{n₁+n₂}` with `φ([u,v]) = φ₁(u) ‖ φ₂(v)` (`φ₁` in the high bits).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "materialized guests are u32-indexed by the Embedding edge-list contract: n1 * n2 <= 2^32 whenever edges are listed"
+)]
 pub fn product_embedding(e1: &Embedding, e2: &Embedding) -> Embedding {
     let n1 = e1.guest_nodes();
     let n2 = e2.guest_nodes();
@@ -118,6 +126,15 @@ pub fn product_embedding(e1: &Embedding, e2: &Embedding) -> Embedding {
 /// `φ₂(y) ‖ φ₁(x′)` and routes every mesh edge inside a single copy of the
 /// relevant factor's host cube, so dilation and congestion are bounded by
 /// the factor embeddings' (Theorem 3).
+///
+/// # Panics
+/// Panics if the factor ranks differ from the target's, if the target
+/// does not fit in the factor product, or if an embedding's guest does
+/// not match its factor shape.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a route arena's total length is at most its node count, which fits usize on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+)]
 pub fn mesh_product_embedding(
     shape: &Shape,
     s1: &Shape,

@@ -5,6 +5,15 @@
 //! orphan every persisted record — the golden strings below pin the
 //! grammar itself, the properties pin the inverse.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "the parser fuzz only checks that parsing returns; Ok and Err are both fine"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "fuzz draws are reduced mod 17 before the cast"
+)]
+
 use cubemesh_core::plan::PlanParseError;
 use cubemesh_core::{Plan, Planner};
 use cubemesh_topology::Shape;

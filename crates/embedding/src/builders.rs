@@ -140,6 +140,10 @@ pub struct MeshEdgeIter<'a> {
 impl Iterator for MeshEdgeIter<'_> {
     type Item = (u32, u32);
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the edge iterator yields u32 node ids by the Embedding edge-list contract; it only runs over guests below 2^32 nodes"
+    )]
     fn next(&mut self) -> Option<(u32, u32)> {
         let shape = &self.view.shape;
         let rank = shape.rank();
@@ -215,6 +219,9 @@ pub fn mesh_embedding_from_fn(
 
 /// Build a mesh embedding from an explicit node map (indexed in row-major
 /// order), generating routes with the given strategy.
+///
+/// # Panics
+/// Panics if `map` does not hold one address per mesh node.
 pub fn mesh_embedding_with_router(
     shape: &Shape,
     host: Hypercube,
@@ -393,7 +400,7 @@ mod tests {
                 .edges()
                 .map(|e| {
                     let (a, b) = mesh.edge_endpoints(e);
-                    (a as u32, b as u32)
+                    (u32::try_from(a).unwrap(), u32::try_from(b).unwrap())
                 })
                 .collect();
             let got: Vec<(u32, u32)> = view.iter().collect();

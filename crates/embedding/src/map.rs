@@ -297,6 +297,9 @@ impl Embedding {
 
     /// Replace the routes (e.g. re-route with a different strategy). The new
     /// route set must have one route per guest edge.
+    ///
+    /// # Panics
+    /// Panics if `routes` does not hold one route per guest edge.
     pub fn set_routes(&mut self, routes: RouteSet) {
         assert_eq!(routes.len(), self.guest_edges.count());
         self.routes = routes;

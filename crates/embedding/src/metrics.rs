@@ -128,6 +128,10 @@ struct ShardSteps {
 /// Gather one contiguous route range: dilation max plus step indices,
 /// with the per-bucket histogram folded into the same pass; then one
 /// counting scatter into bucket-contiguous order.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "host edge indices are below n * 2^n with n <= 27 for every metered host (< 2^32); a bucket-local step is below BUCKET_WIDTH = 2^16; a shard holds fewer than 2^32 steps"
+)]
 fn gather_shard(e: &Embedding, lo: usize, hi: usize, nbuckets: usize) -> ShardSteps {
     let host = e.host();
     let routes = e.routes();
@@ -210,6 +214,10 @@ fn bucket_histogram(steps: &[u32], offs: &mut [u32]) {
 /// stale reads as zero, so no reset pass between buckets is needed and
 /// every step is touched exactly once. (A fresh window starts all-zero,
 /// which is exactly "tag 0, count 0" — correct for the first bucket too.)
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the low 32 bits of a window slot are a per-bucket count, below 2^32 by the tag layout"
+)]
 fn bucket_group_max(shards: &[ShardSteps], blo: usize, bhi: usize, space: usize) -> u32 {
     let mut window = vec![0u64; BUCKET_WIDTH.min(space.max(1))];
     let mut best = 0u32;

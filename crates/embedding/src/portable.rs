@@ -34,6 +34,10 @@ const MAGIC: &str = "cubemesh-embedding v1";
 const FLUSH_AT: usize = 256 * 1024;
 
 /// Serialize an embedding.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 pub fn write_embedding(emb: &Embedding, w: &mut impl Write) -> io::Result<()> {
     // Formatting into a String is infallible; `buf` is drained to the sink
     // in ~256 KiB blocks instead of one syscall-sized write per number.

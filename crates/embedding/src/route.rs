@@ -57,6 +57,10 @@ impl RouteSet {
     /// # Panics
     /// Panics if the path has fewer than 1 node (a route for a self-loop of
     /// length 0 is not a thing — guest graphs have no self-loops).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
+    )]
     pub fn push(&mut self, path: &[u64]) -> usize {
         assert!(!path.is_empty(), "empty route");
         self.pairs_only &= path.len() == 2;
@@ -68,6 +72,10 @@ impl RouteSet {
     /// Append a two-node route (the dilation-1 case every Gray-code edge
     /// hits); cheaper than going through a slice.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
+    )]
     pub fn push_pair(&mut self, a: u64, b: u64) -> usize {
         self.nodes.push(a);
         self.nodes.push(b);
@@ -78,6 +86,10 @@ impl RouteSet {
     /// Splice another route set onto the end of this one, preserving
     /// route order — the merge step for route arenas filled by parallel
     /// workers over contiguous edge chunks.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
+    )]
     pub fn append(&mut self, other: &RouteSet) {
         let base = self.nodes.len() as u32;
         self.pairs_only &= other.pairs_only || other.is_empty();
@@ -87,6 +99,13 @@ impl RouteSet {
     }
 
     /// Append a route given as an iterator.
+    ///
+    /// # Panics
+    /// Panics if `path` yields no node.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
+    )]
     pub fn push_iter(&mut self, path: impl IntoIterator<Item = u64>) -> usize {
         let before = self.nodes.len();
         self.nodes.extend(path);

@@ -127,12 +127,12 @@ fn balanced_routes(map: &[u64], edges: &[(u32, u32)], host: Hypercube, passes: u
     let mut load: HashMap<usize, u32> = HashMap::new();
     let mut chosen: Vec<Vec<u64>> = Vec::with_capacity(edges.len());
 
-    let add = |load: &mut HashMap<usize, u32>, host: &Hypercube, path: &[u64], delta: i64| {
+    let add = |load: &mut HashMap<usize, u32>, host: &Hypercube, path: &[u64], delta: i32| {
         for w in path.windows(2) {
             let bit = (w[0] ^ w[1]).trailing_zeros();
             let idx = host.edge_index(w[0], bit);
             let entry = load.entry(idx).or_insert(0);
-            *entry = (*entry as i64 + delta) as u32;
+            *entry = entry.wrapping_add_signed(delta);
         }
     };
 
@@ -257,7 +257,7 @@ mod tests {
         for a in 0..16u64 {
             for b in 0..16u64 {
                 let p = canonical_path(a, b);
-                assert_eq!(p.len() as u32, hamming(a, b) + 1);
+                assert_eq!(u32::try_from(p.len()).unwrap(), hamming(a, b) + 1);
                 assert_eq!(p[0], a);
                 assert_eq!(*p.last().unwrap(), b);
                 for w in p.windows(2) {
@@ -312,7 +312,7 @@ mod tests {
             .edges()
             .map(|e| {
                 let (a, b) = mesh.edge_endpoints(e);
-                (a as u32, b as u32)
+                (u32::try_from(a).unwrap(), u32::try_from(b).unwrap())
             })
             .collect();
         for strategy in [

@@ -26,6 +26,9 @@ impl AxisLayout {
 
     /// Layout with explicit per-axis widths (used e.g. when an axis is given
     /// more room than minimal, as in Corollaries 4–5).
+    ///
+    /// # Panics
+    /// Panics if the widths sum past 63 bits.
     pub fn with_widths(widths: &[u32]) -> Self {
         let total: u32 = widths.iter().sum();
         assert!(total <= 63, "cube address would exceed 63 bits");

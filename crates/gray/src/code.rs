@@ -65,12 +65,12 @@ mod tests {
     fn gray_is_bijective_on_small_ranges() {
         for n in 0..=10u32 {
             let len = 1u64 << n;
-            let mut seen = vec![false; len as usize];
+            let mut seen = vec![false; usize::try_from(len).unwrap()];
             for i in 0..len {
                 let g = gray(i);
                 assert!(g < len, "G keeps the bit width");
-                assert!(!seen[g as usize]);
-                seen[g as usize] = true;
+                assert!(!seen[usize::try_from(g).unwrap()]);
+                seen[usize::try_from(g).unwrap()] = true;
             }
         }
     }

@@ -22,6 +22,14 @@ pub fn optimal_load_factor(guest_nodes: usize, host_dim: u32) -> u64 {
 ///
 /// Validate with [`cubemesh_embedding::verify_many_to_one`] — the map is
 /// intentionally non-injective.
+///
+/// # Panics
+/// Panics if `factors` does not hold one factor `>= 1` per axis, or if
+/// `base` is not an embedding of `base_shape`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "contracted guests are materialized with u32 node ids by the Embedding edge-list contract (< 2^32 nodes)"
+)]
 pub fn contract(base_shape: &Shape, base: &Embedding, factors: &[usize]) -> Embedding {
     let k = base_shape.rank();
     assert_eq!(factors.len(), k);
@@ -106,7 +114,7 @@ mod tests {
             let emb = contract(&base_shape, &base, &factors);
             verify_many_to_one(&emb).unwrap();
             let m = emb.metrics();
-            let bound = *factors.iter().max().unwrap() as u32;
+            let bound = u32::try_from(*factors.iter().max().unwrap()).unwrap();
             assert!(
                 m.congestion <= bound,
                 "factors {:?}: congestion {} > {}",

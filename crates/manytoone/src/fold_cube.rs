@@ -9,6 +9,13 @@ use cubemesh_topology::{ceil_pow2, cube_dim, Hypercube, Shape};
 /// address bits (identifying antipodal subcubes). Load multiplies by
 /// `2^{n'−n}`; dilation never grows (steps over dropped dimensions
 /// collapse); routes are de-looped to stay simple paths.
+///
+/// # Panics
+/// Panics if `n` exceeds the host dimension.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a route arena's total length is at most its node count, which fits usize on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+)]
 pub fn fold_to_dim(emb: &Embedding, n: u32) -> Embedding {
     let n_big = emb.host().dim();
     assert!(n <= n_big, "fold target larger than the host");

@@ -27,7 +27,7 @@ mod tests {
         for a in 0..16u64 {
             for b in 0..16u64 {
                 let p = ecube_path(a, b);
-                assert_eq!(p.len() as u32, hamming(a, b) + 1);
+                assert_eq!(u32::try_from(p.len()).unwrap(), hamming(a, b) + 1);
                 assert_eq!(p[0], a);
                 assert_eq!(*p.last().unwrap(), b);
                 // Bits corrected in ascending order.

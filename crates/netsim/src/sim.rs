@@ -215,6 +215,10 @@ struct SliceSource<'a> {
 }
 
 impl<'a> SliceSource<'a> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "simulated message batches hold fewer than 2^32 messages (one per guest edge or node)"
+    )]
     fn new(messages: &'a [Message]) -> Self {
         let mut order: Vec<u32> = (0..messages.len() as u32).collect();
         order.sort_by_key(|&i| (messages[i as usize].start, i));

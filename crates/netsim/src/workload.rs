@@ -142,6 +142,10 @@ pub fn transpose(
 
 /// A random permutation workload over the guest nodes (e-cube routed) —
 /// the classical average-case stress pattern.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the draw is at most i < guest nodes, which fits usize by construction"
+)]
 pub fn random_permutation(emb: &Embedding, flits: u32, seed: u64) -> Vec<Message> {
     // Fisher–Yates with the shared splitmix generator to stay
     // dependency-free.

@@ -45,6 +45,10 @@ impl JsonValue {
     }
 
     /// The numeric value as u64, if a non-negative integer.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the value is a non-negative integer; f64 to u64 saturates above 2^64 by the language semantics"
+    )]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
@@ -70,6 +74,10 @@ impl JsonValue {
 }
 
 /// Escape `s` into `out` as a JSON string literal (with quotes).
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -88,12 +96,18 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use: a hostile line of
+/// `[[[[…` gets an error instead of overflowing the thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document. Returns `Err(position, message)` on malformed
-/// input or trailing garbage.
+/// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -107,6 +121,8 @@ pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +151,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, (usize, String)> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -144,6 +163,16 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, (usize, String)>,
+    ) -> Result<JsonValue, (usize, String)> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, (usize, String)> {
@@ -313,6 +342,23 @@ mod tests {
         escape_into(&mut out, nasty);
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Each level is one recursive call, so a hostile line of half a
+        // million `[` must stop at the cap, not at the end of the stack.
+        let hostile = "[".repeat(500_000);
+        let (pos, msg) = parse(&hostile).unwrap_err();
+        assert_eq!(pos, MAX_DEPTH);
+        assert!(msg.contains("nesting"), "{msg}");
+        let (_, msg) = parse(&"{\"a\":".repeat(500_000)).unwrap_err();
+        assert!(msg.contains("nesting"), "{msg}");
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
     }
 
     #[test]

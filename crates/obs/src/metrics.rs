@@ -93,7 +93,7 @@ pub fn bucket_bounds(b: usize) -> (u64, u64) {
     } else {
         (
             1u64 << (b - 1),
-            (1u128 << b).min(u64::MAX as u128 + 1) as u64,
+            u64::try_from(1u128 << b).unwrap_or(u64::MAX),
         )
     }
 }
@@ -211,6 +211,10 @@ impl HistogramSnapshot {
 
     /// Upper bound (exclusive) of the bucket containing the q-quantile,
     /// computed by walking bucket counts. `q` in `[0, 1]`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "q is in [0, 1], so the rank is at most the u64 count"
+    )]
     pub fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

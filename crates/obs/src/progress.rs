@@ -61,6 +61,10 @@ impl Progress {
     }
 
     /// Record `n` completed items; prints if a print is due.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 milliseconds overflow only after 584 million years"
+    )]
     pub fn tick(&self, n: u64) {
         if !self.always && !crate::enabled() {
             return;
@@ -120,6 +124,10 @@ impl Progress {
 
     /// Finish: print the final tally (on its own line) if anything was
     /// ever printed, so partial `\r` lines don't swallow later output.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 milliseconds overflow only after 584 million years"
+    )]
     pub fn finish(&self) {
         if !self.always && !crate::enabled() {
             return;

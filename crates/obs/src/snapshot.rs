@@ -29,6 +29,10 @@ impl Snapshot {
 
     /// Render as indented human-readable text. Derived hit rates are
     /// appended for every `<base>.hit` / `<base>.miss` counter pair.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str("== cubemesh stats ==\n");
@@ -80,6 +84,10 @@ impl Snapshot {
     /// "sum": .., "min": .., "max": .., "buckets": [[lo, count], ...]}}}`.
     /// Bucket entries are sparse (only non-empty buckets, as
     /// `[bucket_lower_bound, count]` pairs).
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"counters\":{");
@@ -169,6 +177,10 @@ impl Snapshot {
 }
 
 /// Compact one-line bucket sketch, e.g. `[1,2): 3  [4,8): 17`.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 fn render_buckets(h: &HistogramSnapshot) -> String {
     let mut out = String::new();
     for (b, &c) in h.buckets.iter().enumerate() {

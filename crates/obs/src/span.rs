@@ -36,6 +36,7 @@ pub fn span_histogram_named(path: &str) -> &'static Histogram {
 /// [`span!`](crate::span) macro); the elapsed time is recorded when the
 /// value drops. Inert (records nothing, tracks no stack) while both
 /// stats and tracing are disabled.
+#[must_use = "a span records on drop: bind it (`let _span = span!(…)`) so it lives to the end of the scope"]
 pub struct SpanTimer {
     start: Option<Instant>,
     hist: Option<&'static Histogram>,
@@ -93,12 +94,20 @@ impl SpanTimer {
     }
 
     /// Elapsed time so far, if the span is timing (stats enabled at open).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 nanoseconds overflow only after 584 years"
+    )]
     pub fn elapsed_ns(&self) -> Option<u64> {
         self.start.map(|s| s.elapsed().as_nanos() as u64)
     }
 }
 
 impl Drop for SpanTimer {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 nanoseconds overflow only after 584 years"
+    )]
     fn drop(&mut self) {
         if !self.pushed {
             return;

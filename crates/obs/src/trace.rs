@@ -134,6 +134,10 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "u64 nanoseconds overflow only after 584 years"
+)]
 fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
@@ -326,6 +330,10 @@ impl TraceLog {
     /// spans as `B`/`E` duration events, gauges as `C` counter events,
     /// instants as thread-scoped `i` events. Timestamps are microseconds
     /// with nanosecond fractions.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_chrome_json(&self) -> String {
         // `E` events carry the name too (Perfetto matches by nesting, but
         // named ends survive truncated traces better).
@@ -398,6 +406,10 @@ impl TraceLog {
     /// attributed to the child's line). Lines are path-sorted, so the
     /// output is deterministic given identical event sequences. Feed to
     /// `flamegraph.pl` or `inferno-flamegraph` as-is.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_folded(&self) -> String {
         let mut self_ns: BTreeMap<String, u64> = BTreeMap::new();
         // Per-thread replay. Spans are RAII on their thread, so events
@@ -469,6 +481,10 @@ impl TraceLog {
     /// guarded by [`JSONL_SCHEMA_VERSION`]); `ts_ns` is always last, so
     /// `sed -E 's/,"ts_ns":[0-9]+//'` yields the timestamp-free event
     /// sequence the determinism gate compares.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -668,10 +684,15 @@ mod tests {
         let _g = crate::testutil::guard();
         reset();
         set_enabled(true);
+        // An explicit join waits for the OS thread to exit, so its
+        // thread-local buffer has been handed over; the scope's implicit
+        // join returns before thread-local destructors run.
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _w = crate::span!("trace_test_worker");
-            });
+            })
+            .join()
+            .unwrap();
         });
         let log = drain();
         set_enabled(false);

@@ -7,9 +7,9 @@
 
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 {
@@ -19,7 +19,7 @@ const fn make_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        table[i as usize] = c;
         i += 1;
     }
     table
@@ -31,7 +31,7 @@ static TABLE: [u32; 256] = make_table();
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c: u32 = 0xFFFF_FFFF;
     for &b in bytes {
-        c = TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
+        c = TABLE[usize::from((c & 0xFF) as u8 ^ b)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

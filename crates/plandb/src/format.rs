@@ -45,6 +45,10 @@ pub const VERSION: u32 = 1;
 
 const HEADER_BYTES: usize = 40;
 /// A frame never exceeds payload bound + framing.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "MAX_PLAN_TEXT is 1 MiB, so the frame bound fits u32"
+)]
 const MAX_FRAME: u32 = (crate::record::MAX_PLAN_TEXT as u32) + (1 << 12);
 
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), DbError> {
@@ -152,6 +156,10 @@ impl PlanDb {
     /// Open and validate a database file: magic, version, index CRC and
     /// every index entry's bounds are checked up front; record payloads
     /// are CRC-checked lazily on [`get`](PlanDb::get).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the index size is bounded by the file length, which fits usize on the 64-bit targets the database is built for"
+    )]
     pub fn open(path: &Path) -> Result<PlanDb, DbError> {
         let _span = cubemesh_obs::span!("plandb.open");
         let mut file = File::open(path)?;

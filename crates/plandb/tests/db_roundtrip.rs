@@ -2,6 +2,11 @@
 //! byte-determinism across pool widths, corruption detection, and
 //! checkpoint-based resumption.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a scratch directory that cannot be made fails the test"
+)]
+
 use cubemesh_plandb::{build, enumerate_keys, load_checkpoint, BuildConfig, PlanDb, RecordStatus};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -244,6 +244,10 @@ impl Region {
 
     /// Work until the region has no claimable tasks left. Returns this
     /// participant's (busy_ns, steal count).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 nanoseconds overflow only after 584 years"
+    )]
     fn participate(&self, me: Option<usize>) -> (u64, usize) {
         let t0 = Instant::now();
         let mut stolen = 0usize;

@@ -141,6 +141,10 @@ pub struct ReplayReport {
 impl ReplayReport {
     /// Serialize as a JSON object with stable field order (byte-identical
     /// across runs of the same trace — the determinism contract).
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never fails"
+    )]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -239,6 +243,10 @@ impl WindowObserver {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a window index is at most makespan / window, bounded by the trace length in cycles (far below 2^32)"
+    )]
     fn win(&self, t: u64) -> usize {
         (t / self.window) as usize
     }
@@ -286,6 +294,10 @@ impl SimObserver for WindowObserver {
 }
 
 /// Nearest-rank percentile of an unsorted latency sample (sorted here).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the rank is at most the sample length, a usize"
+)]
 fn percentile(sample: &mut [u64], p: u64) -> u64 {
     if sample.is_empty() {
         return 0;
@@ -330,6 +342,10 @@ fn mser_warmup(means: &[(usize, f64)], total_windows: usize) -> usize {
 /// ([`simulate_trace`]): messages materialize at their injection times,
 /// and delivered paths are freed, so long traces never hold more than
 /// their in-flight window.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the window count is bounded by the trace length in cycles; occupancy is a ratio in [0, 1], so its permille fits u64"
+)]
 pub fn replay(
     emb: &Embedding,
     trace: &Trace,
@@ -585,15 +601,15 @@ mod tests {
         let report = replay(&emb, &trace, &cfg).expect("replay");
         let injected: u64 = report.windows.iter().map(|w| w.injected).sum();
         let delivered: u64 = report.windows.iter().map(|w| w.delivered).sum();
-        assert_eq!(injected as usize, trace.len());
-        assert_eq!(delivered as usize, report.result.delivered);
+        assert_eq!(injected, trace.len() as u64);
+        assert_eq!(delivered, report.result.delivered as u64);
         // Busy cycles across windows = total link cycles.
         let busy: u64 = report.windows.iter().map(|w| w.busy_cycles).sum();
         assert_eq!(busy, report.result.total_link_cycles);
         // Each phase injects in its own window.
         for w in &report.windows {
             if w.index < 4 {
-                assert_eq!(w.injected as usize, emb.edge_count() * 2);
+                assert_eq!(w.injected, emb.edge_count() as u64 * 2);
             }
         }
     }

@@ -15,6 +15,10 @@ use cubemesh_topology::{Mesh, Shape};
 /// exchange (every guest edge, both directions), one every `period`
 /// cycles. `period = 0` collapses all phases onto cycle 0 — the batch
 /// special case.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "phases and edge ids index materialized traces, which hold fewer than 2^32 edges"
+)]
 pub fn stencil_trace(edges: usize, flits: u32, period: u64, phases: u64) -> Trace {
     let mut events = Vec::with_capacity(edges * 2 * phases as usize);
     for p in 0..phases {
@@ -35,6 +39,10 @@ pub fn stencil_trace(edges: usize, flits: u32, period: u64, phases: u64) -> Trac
 /// Periodic axis shifts: phase `p` sends one message along every positive
 /// edge of axis `p mod rank` (the skew steps of a SUMMA-like algorithm),
 /// one phase every `period` cycles.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "mesh edge ids are u32 in a trace; the rank modulus is below the rank"
+)]
 pub fn shift_trace(shape: &Shape, flits: u32, period: u64, phases: u64) -> Trace {
     let mesh = Mesh::new(shape.clone());
     // Edge ids per axis, in the canonical enumeration order.
@@ -132,6 +140,10 @@ pub fn rate_trace(
 
 /// A uniformly random node other than `src` (or `src` itself in the
 /// degenerate 1-node guest, where no other node exists).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the draw is below nodes - 1, and trace node ids are u32"
+)]
 fn other_node(rng: &mut SplitMix64, nodes: usize, src: u32) -> u32 {
     if nodes < 2 {
         return src;

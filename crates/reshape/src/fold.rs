@@ -25,6 +25,9 @@ pub fn fold_map(l2: usize, coords: &[usize]) -> [usize; 2] {
 }
 
 /// The folded shape `2ℓ₁ × ⌈ℓ₂/2⌉`.
+///
+/// # Panics
+/// Panics if `shape` is not 2-D.
 pub fn folded_shape(shape: &Shape) -> Shape {
     assert_eq!(shape.rank(), 2, "folding is defined for 2-D meshes");
     Shape::new(&[2 * shape.len(0), shape.len(1).div_ceil(2)])
@@ -34,6 +37,9 @@ pub fn folded_shape(shape: &Shape) -> Shape {
 /// dimension is the Gray dimension of the folded shape (minimal expansion
 /// only when that happens to equal the minimal cube dimension — this is a
 /// §3.2 baseline, not a universal technique).
+///
+/// # Panics
+/// Panics if `shape` is not 2-D.
 pub fn fold_embedding(shape: &Shape) -> Embedding {
     assert_eq!(shape.rank(), 2, "folding is defined for 2-D meshes");
     let folded = folded_shape(shape);

@@ -63,6 +63,14 @@ pub enum SearchOutcome {
 
 /// Run the exact search. `order` is the placement order over guest nodes
 /// (a permutation of `0..guest.nodes()`).
+///
+/// # Panics
+/// Panics if `order` is not one entry per guest node, if
+/// `cfg.max_dilation` is 0, or if `cfg.host_dim` exceeds 30.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "search hosts are small (find_embedding asserts n <= 30), so addresses fit usize; u64 nanoseconds overflow only after 584 years"
+)]
 pub fn find_embedding(guest: &Graph, order: &[u32], cfg: &SearchConfig) -> SearchOutcome {
     assert_eq!(order.len(), guest.nodes());
     assert!(cfg.max_dilation >= 1);
@@ -162,6 +170,10 @@ struct State<'a> {
 }
 
 impl State<'_> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is at most i, a usize"
+    )]
     fn place(&mut self, depth: usize) -> PlaceResult {
         if depth == self.order.len() {
             return PlaceResult::Found;
@@ -208,6 +220,10 @@ impl State<'_> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "search hosts are small (find_embedding asserts n <= 30), so addresses fit usize"
+    )]
     fn assign(&mut self, node: usize, addr: u64) {
         self.map[node] = addr;
         self.used[addr as usize] = true;
@@ -224,6 +240,10 @@ impl State<'_> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "search hosts are small (find_embedding asserts n <= 30), so addresses fit usize"
+    )]
     fn unassign(&mut self, node: usize, addr: u64) {
         self.map[node] = u64::MAX;
         self.used[addr as usize] = false;
@@ -283,6 +303,10 @@ impl State<'_> {
 
     /// Candidate addresses for `node` honoring all placed guest neighbors,
     /// the injectivity constraint, and the bit first-use canonical rule.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "search hosts are small (find_embedding asserts n <= 30), so addresses fit usize"
+    )]
     fn candidates_for(&self, node: usize) -> Vec<u64> {
         let placed: Vec<u64> = self
             .guest
@@ -341,6 +365,10 @@ impl State<'_> {
     }
 
     /// Every unplaced node with placed neighbors still has a live candidate.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "search hosts are small (find_embedding asserts n <= 30), so addresses fit usize"
+    )]
     fn frontier_feasible(&self, from_depth: usize) -> bool {
         let mut ball = Vec::new();
         for &node_u32 in &self.order[from_depth..] {
@@ -376,6 +404,10 @@ mod tests {
     use super::*;
     use cubemesh_topology::{Mesh, Torus};
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "search guests are tiny (far below 2^32 nodes)"
+    )]
     fn row_major_order(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
     }

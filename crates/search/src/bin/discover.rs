@@ -11,6 +11,19 @@
 //! counters, span timings) when the run ends. `CUBEMESH_STATS=json`
 //! switches the snapshot to JSON; `CUBEMESH_STATS=off` suppresses it.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bad command-line numbers abort with a message"
+)]
+#![expect(
+    clippy::panic,
+    reason = "bad command-line numbers abort with a message"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "searched guests are tiny, far below 2^32 nodes"
+)]
+
 use cubemesh_embedding::builders::mesh_edge_list;
 use cubemesh_obs::{self as obs, Progress};
 use cubemesh_search::anneal::{anneal_restarts, AnnealConfig, AnnealOutcome};

@@ -67,6 +67,10 @@ pub fn certify_congestion(
 }
 
 /// Max congestion of a route set (helper shared with discovery).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "search routes live in tiny hosts, so their total length fits usize"
+)]
 pub fn max_congestion(routes: &RouteSet, host: Hypercube) -> u32 {
     let mut steps: Vec<u64> = Vec::with_capacity(routes.total_length() as usize);
     for r in routes.iter() {

@@ -30,7 +30,7 @@ pub mod protocol;
 pub mod server;
 
 pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot};
-pub use protocol::{handle_line, parse_request, render_error, Request, MAX_BATCH};
+pub use protocol::{handle_line, parse_request, render_error, Request, MAX_BATCH, MAX_LINE_BYTES};
 pub use server::{serve, Server, ServerConfig};
 
 use cubemesh_plandb::DbError;

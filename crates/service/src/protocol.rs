@@ -29,6 +29,12 @@ use std::fmt::Write as _;
 /// unbounded work.
 pub const MAX_BATCH: usize = 1 << 16;
 
+/// Bound on one request line, in bytes (newline excluded), so a client
+/// that never sends a newline cannot grow server memory without bound.
+/// It fits a full [`MAX_BATCH`] of shapes at 64 bytes each — room for
+/// eight `Shape::MAX_AXIS` extents per shape — plus 1 KiB of envelope.
+pub const MAX_LINE_BYTES: usize = MAX_BATCH * 64 + 1024;
+
 /// A parsed request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -95,6 +101,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 fn push_dims(out: &mut String, dims: &[usize]) {
     out.push('[');
     for (i, d) in dims.iter().enumerate() {
@@ -106,12 +116,20 @@ fn push_dims(out: &mut String, dims: &[usize]) {
     out.push(']');
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 fn push_str_field(out: &mut String, key: &str, val: &str) {
     // `json_escape_into` emits the surrounding quotes itself.
     let _ = write!(out, "\"{key}\":");
     json_escape_into(out, val);
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 fn push_record(out: &mut String, rec: &PlanRecord, source: Source) {
     out.push_str("{\"shape\":");
     push_dims(out, &rec.key);
@@ -154,6 +172,10 @@ fn push_shape_error(out: &mut String, dims: &[usize], err: &ServiceError) {
     out.push('}');
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never fails"
+)]
 fn render_resolved(r: &Resolved) -> String {
     let mut out = String::from("{\"ok\":true,\"resolved\":{\"shape\":");
     push_dims(&mut out, &r.key);

@@ -11,10 +11,10 @@
 //! than spawning threads.
 
 use crate::engine::QueryEngine;
-use crate::protocol::handle_line;
+use crate::protocol::{handle_line, render_error, MAX_LINE_BYTES};
 use crate::ServiceError;
 use cubemesh_obs as obs;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -156,6 +156,17 @@ fn worker_loop(
     }
 }
 
+/// Write one response line; `false` if the client is gone.
+fn send(writer: &mut TcpStream, response: &str) -> bool {
+    let sent = writer.write_all(response.as_bytes()).is_ok()
+        && writer.write_all(b"\n").is_ok()
+        && writer.flush().is_ok();
+    if !sent {
+        obs::counter!("service.conn.write_error").inc();
+    }
+    sent
+}
+
 fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc<AtomicBool>) {
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
         obs::counter!("service.conn.setup_error").inc();
@@ -167,22 +178,35 @@ fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shutdown.load(SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Room for the rest of a MAX_LINE_BYTES line plus its newline;
+        // bytes a torn read already appended count against it.
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                // The cap ran out before a newline: answer in-band and
+                // drop the connection rather than buffer the rest.
+                obs::counter!("service.request.oversized").inc();
+                send(
+                    &mut writer,
+                    &render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+                );
+                return;
+            }
             Ok(_) => {
-                let trimmed = line.trim();
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    obs::counter!("service.conn.read_error").inc();
+                    return;
+                };
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     let (response, stop) = handle_line(engine, trimmed);
-                    if writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
-                        obs::counter!("service.conn.write_error").inc();
+                    if !send(&mut writer, &response) {
                         return;
                     }
                     if stop {
@@ -199,7 +223,7 @@ fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc
             {
                 // Idle poll tick: re-check the shutdown flag. Bytes a
                 // torn read already appended to `line` are kept — the
-                // next read_line keeps accumulating until the newline.
+                // next read keeps accumulating until the newline.
                 continue;
             }
             Err(_) => {

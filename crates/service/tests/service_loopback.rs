@@ -3,13 +3,19 @@
 //! presence on every answer, the overlay on repeat misses, deferred
 //! resolution, graceful shutdown, and the write-behind overflow log.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test on a broken socket or fixture"
+)]
+
 use cubemesh_obs::{parse_json, JsonValue};
 use cubemesh_plandb::{build, load_checkpoint, BuildConfig, RecordStatus};
-use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, Source};
+use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, Source, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cubemesh-service-{}-{name}", std::process::id()));
@@ -221,4 +227,86 @@ fn concurrent_clients_get_consistent_answers() {
     server.request_shutdown();
     assert_eq!(server.join(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A live-planning server on an ephemeral port, for the hostile-input
+/// tests below.
+fn live_server() -> cubemesh_service::Server {
+    let engine = Arc::new(QueryEngine::new(&EngineConfig::default()).expect("engine"));
+    serve(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+        },
+        engine,
+    )
+    .expect("serve")
+}
+
+fn connect(server: &cubemesh_service::Server) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A server that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn error_text(v: &JsonValue) -> &str {
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(false)), "{v:?}");
+    v.get("error")
+        .and_then(JsonValue::as_str)
+        .expect("error text")
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_server_survives() {
+    let server = live_server();
+    let (mut stream, mut reader) = connect(&server);
+    // Half a million `[`: deep enough to overflow a worker's stack (and
+    // abort the whole server) if the parser had no depth cap.
+    let v = roundtrip(&mut stream, &mut reader, &"[".repeat(500_000));
+    assert!(error_text(&v).contains("nesting"), "{v:?}");
+
+    // The same server still answers, on this connection and a new one.
+    let v = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)), "{v:?}");
+    let (mut fresh, mut fresh_reader) = connect(&server);
+    let v = roundtrip(&mut fresh, &mut fresh_reader, "{\"op\":\"stats\"}");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)), "{v:?}");
+
+    roundtrip(&mut fresh, &mut fresh_reader, "{\"op\":\"shutdown\"}");
+    assert_eq!(server.join(), 0, "no worker may panic");
+}
+
+#[test]
+fn oversized_request_line_gets_an_error_and_a_close() {
+    let server = live_server();
+    let (mut stream, mut reader) = connect(&server);
+    // One byte past the cap and no newline: a client streaming an
+    // endless line. The server must answer once it has read the cap,
+    // not keep buffering.
+    stream
+        .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+        .expect("write");
+    stream.flush().expect("flush");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    let v = parse_json(reply.trim()).expect("reply parses");
+    assert!(error_text(&v).contains("exceeds"), "{v:?}");
+    // ...and then closes that connection.
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("read close"), 0);
+
+    // Lines within the cap, split across torn reads, still work.
+    let (mut fresh, mut fresh_reader) = connect(&server);
+    fresh.write_all(b"{\"op\":").expect("write half");
+    fresh.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(300));
+    let v = roundtrip(&mut fresh, &mut fresh_reader, "\"stats\"}");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)), "{v:?}");
+
+    roundtrip(&mut fresh, &mut fresh_reader, "{\"op\":\"shutdown\"}");
+    assert_eq!(server.join(), 0, "no worker may panic");
 }

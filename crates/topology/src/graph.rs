@@ -53,6 +53,10 @@ impl Graph {
     /// Self-loops and duplicate edges are rejected with a typed error, so
     /// untrusted edge lists (file loads, query inputs) can be validated by
     /// construction.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "n <= u32::MAX is checked above, and every endpoint is below n"
+    )]
     pub fn from_edges(n: usize, edge_list: &[(usize, usize)]) -> Result<Self, GraphError> {
         if n > u32::MAX as usize {
             return Err(GraphError::TooManyNodes { nodes: n });
@@ -148,6 +152,10 @@ impl Graph {
     }
 
     /// BFS distances from `src`; unreachable nodes get `u32::MAX`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a Graph has at most u32::MAX nodes (from_edges rejects more), so src fits u32"
+    )]
     pub fn bfs_distances(&self, src: usize) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.nodes()];
         let mut queue = std::collections::VecDeque::new();
@@ -168,6 +176,10 @@ impl Graph {
     /// A BFS ordering of all nodes starting from `src` (connected component
     /// first, then remaining nodes in index order). Used to order placement
     /// decisions in the direct-embedding search.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a Graph has at most u32::MAX nodes (from_edges rejects more), so node ids fit u32"
+    )]
     pub fn bfs_order(&self, src: usize) -> Vec<u32> {
         let mut seen = vec![false; self.nodes()];
         let mut order = Vec::with_capacity(self.nodes());
@@ -213,6 +225,10 @@ impl Graph {
     }
 
     /// `true` if `(a, b)` is an edge.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a Graph has at most u32::MAX nodes (from_edges rejects more); a larger b is never a neighbor either way"
+    )]
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
         self.neighbors(a).contains(&(b as u32))
     }

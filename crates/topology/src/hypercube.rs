@@ -74,6 +74,10 @@ impl Hypercube {
     /// endpoint — are never used; the 2× overallocation keeps indexing
     /// branch-free, which matters in the congestion counters.)
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "n <= MAX_DIM = 48, so every address and n * 2^n fit usize on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+    )]
     pub fn edge_index(&self, v: u64, bit: u32) -> usize {
         debug_assert!(bit < self.dim);
         let lo_addr = v & !(1u64 << bit);
@@ -82,6 +86,10 @@ impl Hypercube {
 
     /// Size of the edge-index space used by [`Self::edge_index`].
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "n <= MAX_DIM = 48, so n * 2^n fits usize on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+    )]
     pub fn edge_index_space(&self) -> usize {
         (self.nodes() as usize) * (self.dim as usize)
     }
@@ -90,6 +98,10 @@ impl Hypercube {
     ///
     /// # Panics
     /// Panics if `n > 28` (graph would not fit in memory anyway).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "graph lowering is for small cubes: Graph ids are u32, so the host has at most 2^32 nodes"
+    )]
     pub fn to_graph(&self) -> Graph {
         assert!(
             self.dim <= 28,
@@ -163,9 +175,9 @@ mod tests {
         assert_eq!(g.diameter(), Some(3));
         // BFS distance equals Hamming distance.
         for v in 0..8u64 {
-            let dist = g.bfs_distances(v as usize);
+            let dist = g.bfs_distances(usize::try_from(v).unwrap());
             for w in 0..8u64 {
-                assert_eq!(dist[w as usize], hamming(v, w));
+                assert_eq!(dist[usize::try_from(w).unwrap()], hamming(v, w));
             }
         }
     }

@@ -72,6 +72,10 @@ impl Mesh {
     }
 
     /// Lower the mesh to a generic [`Graph`].
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "graph lowering is for small meshes: Graph ids are u32, so the mesh has at most 2^32 nodes"
+    )]
     pub fn to_graph(&self) -> Graph {
         let edges: Vec<(u32, u32)> = self
             .edges()

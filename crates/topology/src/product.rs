@@ -15,6 +15,10 @@ use crate::graph::Graph;
 ///
 /// Returns `None` when `|V₁|·|V₂|` overflows `usize` — the product graph
 /// cannot be represented, and the caller decides whether that is an error.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "product graphs are u32-indexed: n1 * n2 <= u32::MAX is the Graph id contract"
+)]
 pub fn product(g1: &Graph, g2: &Graph) -> Option<Graph> {
     let n1 = g1.nodes();
     let n2 = g2.nodes();

@@ -94,6 +94,10 @@ impl Torus {
     }
 
     /// Lower the torus to a generic [`Graph`].
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "graph lowering is for small tori: Graph ids are u32, so the torus has at most 2^32 nodes"
+    )]
     pub fn to_graph(&self) -> Graph {
         let edges: Vec<(u32, u32)> = self
             .edges()

@@ -56,6 +56,10 @@ impl AxisCode {
     /// embedding dilation `d` (counting a jump's inner part as `d` per
     /// unit of axis distance — the pessimistic default;
     /// [`Self::dilation_bound_with`] uses measured costs).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "flat axis distances are at most Shape::MAX_AXIS = 2^15"
+    )]
     pub fn dilation_bound(&self, d: u32) -> u32 {
         self.dilation_bound_with(&|w1: usize, w2: usize| w1.abs_diff(w2) as u32 * d)
     }
@@ -188,6 +192,10 @@ impl Base {
 }
 
 /// Uniform inner-cost model: distance `|Δw|` times `d`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "flat axis distances are at most Shape::MAX_AXIS = 2^15"
+)]
 fn flat_cost(d: u32) -> impl Fn(usize, usize) -> u32 {
     move |a: usize, b: usize| a.abs_diff(b) as u32 * d
 }
@@ -200,6 +208,9 @@ pub fn axis_half(len: usize) -> AxisCode {
 
 /// The halving code with removal placement optimized against the measured
 /// inner costs.
+///
+/// # Panics
+/// Panics if `len` is 0.
 pub fn axis_half_adaptive(len: usize, cost: &dyn Fn(usize, usize) -> u32) -> AxisCode {
     assert!(len >= 1);
     let m = len.div_ceil(2);
@@ -218,6 +229,9 @@ pub fn axis_quarter(len: usize) -> AxisCode {
 /// The quartering code with removal placement optimized against the
 /// measured inner costs — this is what attains Lemma 4's `max(d, 2)`
 /// bound when any placement can.
+///
+/// # Panics
+/// Panics if `len` is 0.
 pub fn axis_quarter_adaptive(len: usize, cost: &dyn Fn(usize, usize) -> u32) -> AxisCode {
     assert!(len >= 1);
     let m = len.div_ceil(4);
@@ -519,7 +533,7 @@ mod tests {
     fn adaptive_consistency_under_random_costs() {
         // Whatever the cost surface, adaptive codes remain structurally
         // valid rings.
-        let cost = |a: usize, b: usize| ((a * 7 + b * 13) % 3) as u32 + 1;
+        let cost = |a: usize, b: usize| u32::try_from((a * 7 + b * 13) % 3).unwrap() + 1;
         for len in 1..=33 {
             let h = axis_half_adaptive(len, &cost);
             check_code(&h);

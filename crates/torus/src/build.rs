@@ -16,6 +16,14 @@ use cubemesh_topology::{Hypercube, Shape, Torus, TorusEdge};
 /// The host cube has `inner.host().dim() + Σ cbitsᵢ` dimensions: the
 /// inner embedding in the low bits and each axis' submesh bits above it.
 /// Guest edges are enumerated in [`Torus::edges`] order.
+///
+/// # Panics
+/// Panics if `codes` does not hold one axis code of the matching length
+/// per axis, or if `inner` does not embed the inner mesh.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "torus guests are materialized with u32 node ids by the Embedding edge-list contract (< 2^32 nodes)"
+)]
 pub fn build_torus_embedding(shape: &Shape, codes: &[AxisCode], inner: &Embedding) -> Embedding {
     let k = shape.rank();
     assert_eq!(codes.len(), k);
@@ -101,7 +109,10 @@ pub fn build_torus_embedding(shape: &Shape, codes: &[AxisCode], inner: &Embeddin
 
 /// Walk the transition of `axis` at torus coordinates `z`, starting from
 /// host address `start`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one route walk reads the whole per-torus context; bundling it would add a struct used once"
+)]
 fn assemble_route(
     start: u64,
     axis: usize,

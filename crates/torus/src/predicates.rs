@@ -5,6 +5,10 @@ use cubemesh_topology::{ceil_pow2, Shape};
 /// Lemma 3's minimality condition:
 /// `⌈Π ℓᵢ⌉₂ = 2^k · ⌈Π ⌈ℓᵢ/2⌉⌉₂` — halving all axes keeps the cube
 /// minimal. (Trivially true when every `ℓᵢ` is even.)
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a mesh rank is far below u32::MAX"
+)]
 pub fn lemma3_condition(shape: &Shape) -> bool {
     let k = shape.rank() as u32;
     let halves: u64 = shape.dims().iter().map(|&l| l.div_ceil(2) as u64).product();
@@ -13,6 +17,10 @@ pub fn lemma3_condition(shape: &Shape) -> bool {
 
 /// Lemma 4's minimality condition:
 /// `⌈Π ℓᵢ⌉₂ = 4^k · ⌈Π ⌈ℓᵢ/4⌉⌉₂`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a mesh rank is far below u32::MAX"
+)]
 pub fn lemma4_condition(shape: &Shape) -> bool {
     let k = shape.rank() as u32;
     let quarters: u64 = shape.dims().iter().map(|&l| l.div_ceil(4) as u64).product();

@@ -6,6 +6,15 @@
 //! cargo run --release --example census_explorer -- 21 9 5 # classify one mesh
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on bad input"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "command-line extents and n are small"
+)]
+
 use cubemesh::census::census_3d;
 use cubemesh::core::{classify3, Planner};
 use cubemesh::topology::Shape;

@@ -5,6 +5,15 @@
 //! cargo run --example partition_1919
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "the 19x19 cover is a fixed paper example that always exists"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "host addresses of the 19x19 fold fit usize"
+)]
+
 use cubemesh::embedding::{load_factor, verify_many_to_one};
 use cubemesh::manytoone::{corollary5, optimal_load_factor};
 use cubemesh::topology::Shape;

@@ -4,6 +4,11 @@
 //! cargo run --example quickstart -- 5 6 7
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on bad input"
+)]
+
 use cubemesh::core::{construct, Planner};
 use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::topology::Shape;

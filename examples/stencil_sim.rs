@@ -5,6 +5,15 @@
 //! cargo run --release --example stencil_sim -- 9 9 9 [flits]
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on bad input"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the flit count argument is small"
+)]
+
 use cubemesh::core::embed_mesh;
 use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::netsim::{simulate, stencil_exchange};

@@ -4,6 +4,11 @@
 //! cargo run --example torus_ring -- 6 10
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on bad input"
+)]
+
 use cubemesh::topology::Shape;
 use cubemesh::torus::{corollary3_dilation2, corollary3_dilation3, embed_torus};
 

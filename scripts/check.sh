@@ -3,12 +3,15 @@
 # Run from anywhere; operates on the repo root.
 #
 #   check.sh          full gate
-#   check.sh --quick  lint + a <=8^3 certify/selfcheck smoke (exits
-#                     non-zero on any violation or certificate failure)
+#   check.sh --quick  clippy + audit lints + a <=8^3 certify/selfcheck
+#                     smoke (exits non-zero on any violation or
+#                     certificate failure)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--quick" ]]; then
+    echo "== quick: cargo clippy (panic, cast and waiver discipline) =="
+    cargo clippy --workspace --all-targets -- -D warnings
     echo "== quick: audit source lints =="
     cargo run --release -q -p cubemesh-audit -- lint
     echo "== quick: audit static analyzer =="
@@ -25,6 +28,42 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== clippy self-test (each fixture must trip its named lints) =="
+# Panic discipline, narrowing casts, `# Panics` docs, waivers and dropped
+# `#[must_use]` values are clippy/rustc lints set in the root Cargo.toml's
+# [workspace.lints]. Each known-bad file in crates/audit/tests/clippy_fixtures/
+# becomes the lib of a throwaway crate whose [workspace.lints] tables are
+# copied out of the root Cargo.toml (one source for the lint list); clippy
+# must report every lint its `//! trips:` line names, or the gate fails.
+repo_root=$(pwd)
+fixture_target="$repo_root/target/clippy-fixtures"
+for fixture in crates/audit/tests/clippy_fixtures/*.rs; do
+    name=$(basename "$fixture" .rs)
+    lints=$(sed -n 's|^//! trips: ||p' "$fixture")
+    test -n "$lints"
+    crate_dir=$(mktemp -d)
+    mkdir -p "$crate_dir/src"
+    cp "$fixture" "$crate_dir/src/lib.rs"
+    cp clippy.toml "$crate_dir/"
+    {
+        printf '[package]\nname = "clippy-fixture-%s"\nversion = "0.0.0"\nedition = "2021"\n' \
+            "${name//_/-}"
+        printf '\n[dependencies]\ncubemesh-obs = { path = "%s/crates/obs" }\n' "$repo_root"
+        printf '\n[lints]\nworkspace = true\n\n[workspace]\n\n'
+        awk '/^\[/ { keep = /^\[workspace\.lints/ } keep' Cargo.toml
+    } > "$crate_dir/Cargo.toml"
+    report=$(cd "$crate_dir" && CARGO_TARGET_DIR="$fixture_target" \
+        cargo clippy --offline -q --message-format=json 2>/dev/null || true)
+    rm -rf "$crate_dir"
+    for lint in $lints; do
+        if ! grep -q "\"code\":\"${lint}\"" <<<"$report"; then
+            echo "ERROR: clippy fixture ${name} did not trip ${lint}" >&2
+            exit 1
+        fi
+    done
+    echo "${name}: trips ${lints}"
+done
+
 echo "== tier-1: cargo build --release && cargo test -q (pool width 1 + default) =="
 # The whole suite runs twice: once pinned to a single pool worker and
 # once at the host's native width. Divergence between the two runs means
@@ -34,14 +73,14 @@ cargo build --release
 CUBEMESH_THREADS=1 cargo test -q
 cargo test -q
 
-echo "== audit: source lints (panic discipline, casts, concurrency) =="
+echo "== audit: source lints (CM-L006 chunk-loop allocation, CM-L007 shared mut) =="
 cargo run --release -q -p cubemesh-audit -- lint
 mkdir -p target
 cargo run --release -q -p cubemesh-audit -- lint --json > target/audit-lint.json
 test -s target/audit-lint.json
 echo "wrote target/audit-lint.json"
 
-echo "== audit: static analyzer (CM-A001..A013, interprocedural dataflow) =="
+echo "== audit: static analyzer (CM-A001..A012, interprocedural dataflow) =="
 # Hard gate: any finding fails the build. The JSON artifact doubles as
 # the --baseline input for diff-mode runs and is archived for CI
 # annotation alongside a SARIF 2.1.0 log; per-pass wall time is

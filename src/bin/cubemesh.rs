@@ -28,6 +28,11 @@
 //! flamegraph stacks at FILE.folded, and a stable-schema JSONL event log
 //! at FILE.jsonl.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a planner-produced plan always lowers; a failure is a bug worth aborting on"
+)]
+
 use cubemesh::core::{classify3, construct, embed_mesh, Planner};
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
 use cubemesh::embedding::{gray_mesh_embedding, RouteStrategy};
@@ -112,10 +117,10 @@ fn parse_dims(args: &[String]) -> (Vec<usize>, Vec<(String, String)>) {
         if let Some(name) = a.strip_prefix("--") {
             // A following `--flag` is the next flag, not this one's value,
             // so bare boolean flags (--json) compose with valued ones.
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().cloned().unwrap(),
-                _ => String::new(),
-            };
+            let value = it
+                .next_if(|v| !v.starts_with("--"))
+                .cloned()
+                .unwrap_or_default();
             flags.push((name.to_string(), value));
         } else if let Ok(d) = a.parse() {
             dims.push(d);
@@ -308,7 +313,7 @@ fn simulate_cmd(args: &[String]) -> ExitCode {
 
 fn census(args: &[String]) -> ExitCode {
     let (dims, _) = parse_dims(args);
-    let n = dims.first().copied().unwrap_or(5) as u32;
+    let n = u32::try_from(dims.first().copied().unwrap_or(5)).unwrap_or(0);
     if !(1..=9).contains(&n) {
         eprintln!("census n must be 1..=9");
         return ExitCode::from(2);

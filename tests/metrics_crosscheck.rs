@@ -1,6 +1,11 @@
 //! Cross-check the sort-based metrics engine against a naive
 //! recomputation, on randomized embeddings.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test routes are short, far below 2^32 hops"
+)]
+
 use cubemesh::embedding::{mesh_embedding_with_router, RouteStrategy};
 use cubemesh::topology::{Hypercube, Shape};
 use proptest::prelude::*;

@@ -5,6 +5,11 @@
 //! pipeline; `cubemesh-bench` re-asserts the metrics contract on
 //! paper-scale shapes.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the victim index is reduced mod the route count"
+)]
+
 use cubemesh::core::{construct, Planner};
 use cubemesh::embedding::builders::mesh_edge_list;
 use cubemesh::embedding::metrics::{metrics_par, metrics_seq};

@@ -1,5 +1,10 @@
 //! Property tests for the direct-embedding search engines.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "searched guests are tiny, far below 2^32 nodes"
+)]
+
 use cubemesh::embedding::builders::mesh_edge_list;
 use cubemesh::search::routes::{certify_congestion, max_congestion};
 use cubemesh::search::{find_embedding, SearchConfig, SearchOutcome};

@@ -1,6 +1,11 @@
 //! Property tests on the graph substrate: the invariants every other
 //! crate builds on.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test cubes are small, so addresses fit usize"
+)]
+
 use cubemesh::gray::{gray, gray_inverse};
 use cubemesh::topology::{ceil_pow2, cube_dim, hamming, product, Hypercube, Mesh, Shape, Torus};
 use proptest::prelude::*;
