@@ -220,8 +220,11 @@ impl Finding {
 /// Fan-out API sets: which names start a parallel region.
 ///
 /// Defaults cover std (`spawn`, `scope`), the pool's `run_tasks` (the
-/// workspace's one data-parallel entry point) and the rayon surface, so
-/// code written against real rayon is still analyzed.
+/// workspace's one data-parallel entry point), the embedding crate's
+/// `fill_parts` (a `run_tasks` region handing each task its own output
+/// slice, listed so the closure at each call site is analyzed as worker
+/// code) and the rayon surface, so code written against real rayon is
+/// still analyzed.
 #[derive(Clone, Debug)]
 pub struct FanoutApis {
     /// Receiver-chain markers that make a method chain parallel
@@ -250,7 +253,7 @@ impl Default for FanoutApis {
                 "flat_map",
                 "inspect",
             ]),
-            direct: v(&["spawn", "scope", "run_tasks"]),
+            direct: v(&["spawn", "scope", "run_tasks", "fill_parts"]),
         }
     }
 }

@@ -35,7 +35,10 @@
 //! per rung (matched by shape; rungs missing on either side are skipped),
 //! plus the `gray_kernel` micro-rungs (matched by name; absent in older
 //! baselines, then skipped). A baseline recorded on a different
-//! `parallel_backend` is a hard error — executors are not comparable.
+//! `parallel_backend` is a hard error — executors are not comparable —
+//! and so is one recorded on another host: every BENCH_3/4/5 header
+//! carries the CPU model, core count and `rustc -V`, and `--compare` /
+//! `--compare-service` refuse a baseline whose identity differs.
 //! Any metric that moves past the tolerance in the bad direction makes
 //! the process exit non-zero — `scripts/check.sh` runs this on every
 //! gate, so perf regressions fail CI like test regressions do.
@@ -79,6 +82,7 @@
     reason = "u64 nanoseconds overflow only after 584 years; replay message counts fit usize"
 )]
 
+use cubemesh_bench::HostId;
 use cubemesh_core::{construct, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;
@@ -246,7 +250,7 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung]) -> String {
+fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung], host: &HostId) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"BENCH_3\",");
@@ -256,10 +260,8 @@ fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung]) -> String {
         .unwrap_or(0);
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"threads\": {threads},");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let _ = writeln!(out, "  \"host_cores\": {cores},");
+    let cores = host.host_cores;
+    out.push_str(&host.header_json());
     // Honest-baseline marker: with the pool on one worker,
     // `speedup_construct_metrics` < 1.0 is the forced two-shard merge
     // overhead on a sequential host, not a parallelism regression.
@@ -398,7 +400,7 @@ fn run_replay_ladder(quick: bool) -> Option<Vec<ReplayRung>> {
     Some(rungs)
 }
 
-fn bench4_json(rungs: &[ReplayRung]) -> String {
+fn bench4_json(rungs: &[ReplayRung], host: &HostId) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"BENCH_4\",\n");
     let unix = std::time::SystemTime::now()
@@ -406,6 +408,7 @@ fn bench4_json(rungs: &[ReplayRung]) -> String {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let _ = writeln!(out, "  \"created_unix\": {unix},");
+    out.push_str(&host.header_json());
     out.push_str("  \"rungs\": [\n");
     for (i, r) in rungs.iter().enumerate() {
         out.push_str("    {");
@@ -615,7 +618,7 @@ fn run_service_bench(reps: usize) -> Option<(Vec<ServiceRung>, ServiceMeta)> {
     ))
 }
 
-fn bench5_json(rungs: &[ServiceRung], meta: &ServiceMeta) -> String {
+fn bench5_json(rungs: &[ServiceRung], meta: &ServiceMeta, host: &HostId) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"BENCH_5\",\n");
     let unix = std::time::SystemTime::now()
@@ -623,6 +626,7 @@ fn bench5_json(rungs: &[ServiceRung], meta: &ServiceMeta) -> String {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let _ = writeln!(out, "  \"created_unix\": {unix},");
+    out.push_str(&host.header_json());
     let _ = writeln!(out, "  \"db_max_axis\": {},", meta.db_max_axis);
     let _ = writeln!(out, "  \"db_records\": {},", meta.db_records);
     let _ = writeln!(out, "  \"db_build_s\": {:.6},", meta.db_build_s);
@@ -668,6 +672,22 @@ fn main() -> ExitCode {
     }
 }
 
+/// Host honesty gate: throughput from another CPU, core count or
+/// compiler is not comparable, so a cross-host baseline is a hard error,
+/// like a cross-backend one. Prints why and returns `false` on refusal.
+fn same_host_or_refuse(base_doc: &str, base_path: &str, host: &HostId) -> bool {
+    match HostId::from_doc(base_doc).and_then(|b| cubemesh_bench::same_host(b.as_ref(), host)) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!(
+                "cubemesh-bench: {e} — refusing to compare across hosts; \
+                 regenerate {base_path} on this host"
+            );
+            false
+        }
+    }
+}
+
 /// The bench proper; `main` runs it inside the `--threads` width.
 fn run(args: &[String]) -> ExitCode {
     obs::init_from_env();
@@ -679,14 +699,15 @@ fn run(args: &[String]) -> ExitCode {
         obs::trace::set_enabled(true);
     }
     let threads = pool::effective_threads();
+    let host = HostId::current();
     // Lead with the execution environment so a pasted bench line can't be
     // mistaken for numbers from a real work-stealing pool.
     println!(
-        "cubemesh-bench: threads={threads} host_cores={} backend={}",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        pool::backend_name()
+        "cubemesh-bench: threads={threads} host_cores={} backend={} cpu={:?} rustc={:?}",
+        host.host_cores,
+        pool::backend_name(),
+        host.cpu_model,
+        host.rustc
     );
     let par_only = args.iter().any(|a| a == "--par-only");
     let reps: usize = flag_value(args, "--reps")
@@ -784,7 +805,7 @@ fn run(args: &[String]) -> ExitCode {
             k.elems_per_s / 1e6
         );
     }
-    let doc = to_json(&rungs, threads, &kernels);
+    let doc = to_json(&rungs, threads, &kernels, &host);
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("cubemesh-bench: writing {out_path}: {e}");
         return ExitCode::FAILURE;
@@ -820,6 +841,9 @@ fn run(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        if !same_host_or_refuse(&base_doc, &base_path, &host) {
+            return ExitCode::FAILURE;
+        }
         // Backend honesty gate: throughput from different executors is
         // not comparable, so a backend mismatch is a hard error, not a
         // warning — regenerate the baseline on the current backend.
@@ -894,7 +918,7 @@ fn run(args: &[String]) -> ExitCode {
         }
         let service_out =
             flag_value(args, "--service-out").unwrap_or_else(|| "BENCH_5.json".to_owned());
-        let doc5 = bench5_json(&service_rungs, &service_meta);
+        let doc5 = bench5_json(&service_rungs, &service_meta, &host);
         if let Err(e) = std::fs::write(&service_out, &doc5) {
             eprintln!("cubemesh-bench: writing {service_out}: {e}");
             return ExitCode::FAILURE;
@@ -916,6 +940,9 @@ fn run(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            if !same_host_or_refuse(&base_doc, &base5_path, &host) {
+                return ExitCode::FAILURE;
+            }
             let current: Vec<cubemesh_bench::ServiceMetrics> = service_rungs
                 .iter()
                 .map(|r| cubemesh_bench::ServiceMetrics {
@@ -978,7 +1005,7 @@ fn run(args: &[String]) -> ExitCode {
         }
         let replay_out =
             flag_value(args, "--replay-out").unwrap_or_else(|| "BENCH_4.json".to_owned());
-        let doc4 = bench4_json(&replay_rungs);
+        let doc4 = bench4_json(&replay_rungs, &host);
         if let Err(e) = std::fs::write(&replay_out, &doc4) {
             eprintln!("cubemesh-bench: writing {replay_out}: {e}");
             return ExitCode::FAILURE;

@@ -17,12 +17,124 @@
 //! the tolerance absorbs scheduler noise, not measurement noise; the
 //! default (15%) sits below the 20% injected-regression self-test in
 //! check.sh and well above observed rerun jitter on the pinned ladder.
+//!
+//! Every baseline header carries its [`HostId`] (CPU model, core count,
+//! `rustc -V`). Numbers from another host or compiler are not
+//! comparable, so [`same_host`] refuses such a pair outright, the way the
+//! bench binary refuses a baseline from another `parallel_backend`.
 
-use cubemesh_obs::{parse_json, JsonValue};
+use cubemesh_obs::{json_escape_into, parse_json, JsonValue};
 use std::fmt::Write as _;
 
 /// Default regression tolerance (fraction of the baseline value).
 pub const DEFAULT_TOLERANCE: f64 = 0.15;
+
+/// The machine and compiler a bench document was recorded with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HostId {
+    /// `model name` from `/proc/cpuinfo` (`"unknown"` elsewhere).
+    pub cpu_model: String,
+    /// `available_parallelism()` when recorded.
+    pub host_cores: u64,
+    /// First line of `rustc -V` (`"unknown"` without a toolchain).
+    pub rustc: String,
+}
+
+impl HostId {
+    /// The host this process runs on.
+    pub fn current() -> HostId {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|t| {
+                t.lines().find_map(|l| {
+                    let (key, value) = l.split_once(':')?;
+                    (key.trim() == "model name").then(|| value.trim().to_owned())
+                })
+            })
+            .unwrap_or_else(|| "unknown".to_owned());
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .and_then(|s| s.lines().next().map(str::to_owned))
+            .unwrap_or_else(|| "unknown".to_owned());
+        HostId {
+            cpu_model,
+            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            rustc,
+        }
+    }
+
+    /// The header fields of a bench document, one `"key": value,` line
+    /// each, indented two spaces.
+    pub fn header_json(&self) -> String {
+        let mut out = String::from("  \"cpu_model\": ");
+        json_escape_into(&mut out, &self.cpu_model);
+        out.push_str(&format!(
+            ",\n  \"host_cores\": {},\n  \"rustc\": ",
+            self.host_cores
+        ));
+        json_escape_into(&mut out, &self.rustc);
+        out.push_str(",\n");
+        out
+    }
+
+    /// The host identity in a bench document's header, if it has one.
+    ///
+    /// # Errors
+    /// The document is not valid JSON.
+    pub fn from_doc(json: &str) -> Result<Option<HostId>, String> {
+        let doc = parse_json(json)
+            .map_err(|(pos, msg)| format!("baseline is not valid JSON: {msg} at byte {pos}"))?;
+        let text = |k: &str| doc.get(k).and_then(JsonValue::as_str).map(str::to_owned);
+        Ok(match (text("cpu_model"), text("rustc")) {
+            (Some(cpu_model), Some(rustc)) => Some(HostId {
+                cpu_model,
+                host_cores: doc
+                    .get("host_cores")
+                    .and_then(JsonValue::as_u64)
+                    .unwrap_or(0),
+                rustc,
+            }),
+            _ => None,
+        })
+    }
+}
+
+/// `Ok` only if a baseline recorded on `baseline` may be compared with a
+/// run on `current`: same CPU model, core count and compiler. A baseline
+/// without a host identity predates host-aware headers and is refused.
+///
+/// # Errors
+/// Why the pair is not comparable.
+pub fn same_host(baseline: Option<&HostId>, current: &HostId) -> Result<(), String> {
+    let Some(base) = baseline else {
+        return Err("baseline records no host identity (cpu_model, rustc)".to_owned());
+    };
+    let mut diffs = Vec::new();
+    if base.cpu_model != current.cpu_model {
+        diffs.push(format!(
+            "cpu {:?} != {:?}",
+            base.cpu_model, current.cpu_model
+        ));
+    }
+    if base.host_cores != current.host_cores {
+        diffs.push(format!(
+            "cores {} != {}",
+            base.host_cores, current.host_cores
+        ));
+    }
+    if base.rustc != current.rustc {
+        diffs.push(format!("rustc {:?} != {:?}", base.rustc, current.rustc));
+    }
+    if diffs.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("baseline host differs: {}", diffs.join(", ")))
+    }
+}
 
 /// The figures of merit one rung is compared on.
 #[derive(Clone, Debug, PartialEq)]
@@ -575,6 +687,47 @@ mod tests {
         assert!(rep.regressions().is_empty());
         // The JSON artifact parses back.
         assert!(parse_json(&rep.to_json()).is_ok());
+    }
+
+    #[test]
+    fn cross_host_pairs_are_refused() {
+        let host = HostId {
+            cpu_model: "Example CPU @ 2.0GHz".to_owned(),
+            host_cores: 2,
+            rustc: "rustc 1.0.0 (abc 2020-01-01)".to_owned(),
+        };
+        assert!(same_host(Some(&host), &host).is_ok());
+        for other in [
+            HostId {
+                cpu_model: "Other CPU".to_owned(),
+                ..host.clone()
+            },
+            HostId {
+                host_cores: 1,
+                ..host.clone()
+            },
+            HostId {
+                rustc: "rustc 1.1.0".to_owned(),
+                ..host.clone()
+            },
+        ] {
+            let err = same_host(Some(&other), &host).unwrap_err();
+            assert!(err.contains("host differs"), "{err}");
+        }
+        assert!(same_host(None, &host).is_err(), "a header without identity");
+    }
+
+    #[test]
+    fn host_header_roundtrips_through_json() {
+        let host = HostId {
+            cpu_model: "Quoted \"CPU\" \\ model".to_owned(),
+            host_cores: 4,
+            rustc: "rustc 1.95.0".to_owned(),
+        };
+        let doc = format!("{{\n{}  \"rungs\": []\n}}", host.header_json());
+        assert_eq!(HostId::from_doc(&doc).unwrap(), Some(host));
+        assert_eq!(HostId::from_doc(r#"{"host_cores": 1}"#).unwrap(), None);
+        assert!(HostId::current().host_cores >= 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@ pub mod compare;
 
 pub use compare::{
     compare as compare_rungs, compare_kernels, compare_service, load_baseline,
-    load_service_baseline, Baseline, CompareReport, Delta, KernelMetrics, RungMetrics,
-    ServiceMetrics, DEFAULT_TOLERANCE, SERVICE_REPORT_ONLY,
+    load_service_baseline, same_host, Baseline, CompareReport, Delta, HostId, KernelMetrics,
+    RungMetrics, ServiceMetrics, DEFAULT_TOLERANCE, SERVICE_REPORT_ONLY,
 };
 
 /// Format a percentage with one decimal, paper-style.

@@ -17,7 +17,7 @@
 //!   `φ₂(y) ‖ φ₁(x′)`. Allowing `ℓᵢ < ℓ₁ᵢ·ℓ₂ᵢ` implements the §4.2
 //!   axis-extension trick (embed the slightly larger mesh, restrict).
 
-use cubemesh_embedding::builders::{node_chunks, MeshEdgeView};
+use cubemesh_embedding::builders::{fill_parts, node_chunks, split_lens, MeshEdgeView};
 use cubemesh_embedding::{Embedding, RouteSet};
 use cubemesh_obs as obs;
 use cubemesh_topology::{Hypercube, Mesh, Shape};
@@ -115,6 +115,107 @@ pub fn product_embedding(e1: &Embedding, e2: &Embedding) -> Embedding {
     Embedding::new(guest, edges, host, map, routes)
 }
 
+/// The factor route one Corollary 2 mesh edge copies: `src` read forward
+/// or `reversed`, each node mapped to `(r << shift) | mask`.
+struct CopiedRoute<'a> {
+    src: &'a [u64],
+    shift: u32,
+    mask: u64,
+    reversed: bool,
+}
+
+/// The Corollary 2 route rule for one target mesh: which factor route
+/// each mesh edge copies, and into which instance of that factor's cube.
+struct ProductRoutes<'a> {
+    shape: &'a Shape,
+    s1: &'a Shape,
+    s2: &'a Shape,
+    e1: &'a Embedding,
+    e2: &'a Embedding,
+    idx1: MeshEdgeIndex,
+    idx2: MeshEdgeIndex,
+    /// Row-major strides of `s1`.
+    stride1: Vec<usize>,
+    /// Host dimension of `e1`: the shift of the `M₂` address field.
+    n1: u32,
+}
+
+impl ProductRoutes<'_> {
+    /// Call `f` with the copied route of every edge whose lower endpoint
+    /// lies in `nodes`, in canonical edge order.
+    fn for_each(&self, nodes: Range<usize>, mut f: impl FnMut(CopiedRoute<'_>)) {
+        let (shape, s1, s2) = (self.shape, self.s1, self.s2);
+        let k = shape.rank();
+        // z = y·ℓ₁ + x per axis, with x′ the reflected x. The sweep carries
+        // x and y along with z instead of dividing at every node.
+        let mut z = vec![0usize; k];
+        let mut x = vec![0usize; k];
+        let mut y = vec![0usize; k];
+        let mut xr = vec![0usize; k];
+        shape.coords_into(nodes.start, &mut z);
+        for i in 0..k {
+            y[i] = z[i] / s1.len(i);
+            x[i] = z[i] % s1.len(i);
+        }
+        for _ in nodes {
+            for i in 0..k {
+                xr[i] = if y[i].is_multiple_of(2) {
+                    x[i]
+                } else {
+                    s1.len(i) - 1 - x[i]
+                };
+            }
+            let ynode = s2.index(&y);
+            let xnode = s1.index(&xr);
+            for axis in 0..k {
+                if z[axis] + 1 >= shape.len(axis) {
+                    continue;
+                }
+                if x[axis] + 1 == s1.len(axis) {
+                    // M₂-type edge: y -> y + e_axis; x' identical on both ends.
+                    f(CopiedRoute {
+                        src: self.e2.routes().route(self.idx2.id(ynode, axis)),
+                        shift: self.n1,
+                        mask: self.e1.image(xnode),
+                        reversed: false,
+                    });
+                } else {
+                    // M₁-type edge within instance y; reflected when y is odd.
+                    // x' decreases along a reflected edge: the canonical
+                    // edge starts at x' - 1, and its route runs backwards.
+                    let reversed = !y[axis].is_multiple_of(2);
+                    let start = if reversed {
+                        xnode - self.stride1[axis]
+                    } else {
+                        xnode
+                    };
+                    f(CopiedRoute {
+                        src: self.e1.routes().route(self.idx1.id(start, axis)),
+                        shift: 0,
+                        mask: self.e2.image(ynode) << self.n1,
+                        reversed,
+                    });
+                }
+            }
+            // Advance z in row-major order, carrying x into y.
+            for a in (0..k).rev() {
+                z[a] += 1;
+                x[a] += 1;
+                if x[a] == s1.len(a) {
+                    x[a] = 0;
+                    y[a] += 1;
+                }
+                if z[a] < shape.len(a) {
+                    break;
+                }
+                z[a] = 0;
+                x[a] = 0;
+                y[a] = 0;
+            }
+        }
+    }
+}
+
 /// The Corollary 2 construction.
 ///
 /// * `shape` — the target mesh, with `shape[i] ≤ s1[i] * s2[i]`;
@@ -133,7 +234,7 @@ pub fn product_embedding(e1: &Embedding, e2: &Embedding) -> Embedding {
 /// not match its factor shape.
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "a route arena's total length is at most its node count, which fits usize on the 64-bit targets Shape::MAX_NODES = 2^46 requires"
+    reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
 )]
 pub fn mesh_product_embedding(
     shape: &Shape,
@@ -160,22 +261,6 @@ pub fn mesh_product_embedding(
 
     let n1 = e1.host().dim();
     let host = Hypercube::new(n1 + e2.host().dim());
-    let idx1 = MeshEdgeIndex::new(s1);
-    let idx2 = MeshEdgeIndex::new(s2);
-
-    // Decompose z into (y, x) and the reflected x'.
-    let split = |z: &[usize], x: &mut [usize], y: &mut [usize], xr: &mut [usize]| {
-        for i in 0..z.len() {
-            let l1 = s1.len(i);
-            y[i] = z[i] / l1;
-            x[i] = z[i] % l1;
-            xr[i] = if y[i].is_multiple_of(2) {
-                x[i]
-            } else {
-                l1 - 1 - x[i]
-            };
-        }
-    };
 
     // Node map, filled in parallel chunks. The factor indices fold over the
     // axes directly, so a worker needs no coordinate scratch beyond the
@@ -197,71 +282,80 @@ pub fn mesh_product_embedding(
         })
     };
 
-    // Routes, built per contiguous node range. The canonical enumeration
-    // visits nodes in linear order and axes ascending within a node, so
-    // ranges split at node boundaries produce dense, splicable edge-id
-    // runs; `edges_before_node` sizes each worker's arena exactly.
-    let view = MeshEdgeView::new(shape);
-    let fill_routes = |range: Range<usize>| -> RouteSet {
-        let chunk_edges = view.edges_before_node(range.end) - view.edges_before_node(range.start);
-        let mut rs = RouteSet::with_capacity(chunk_edges, chunk_edges * 3);
-        let mut z = vec![0usize; k];
-        let mut x = vec![0usize; k];
-        let mut y = vec![0usize; k];
-        let mut xr = vec![0usize; k];
-        shape.coords_into(range.start, &mut z);
-        for _ in range {
-            split(&z, &mut x, &mut y, &mut xr);
-            for axis in 0..k {
-                if z[axis] + 1 >= shape.len(axis) {
-                    continue;
-                }
-                let l1 = s1.len(axis);
-                if (z[axis] + 1).is_multiple_of(l1) {
-                    // M₂-type edge: y -> y + e_axis; x' identical on both ends.
-                    let ynode = s2.index(&y);
-                    let a1 = e1.image(s1.index(&xr));
-                    let rid = idx2.id(ynode, axis);
-                    rs.push_iter(e2.routes().route(rid).iter().map(|&r| (r << n1) | a1));
-                } else {
-                    // M₁-type edge within instance y; reflected when y is odd.
-                    let a2 = e2.image(s2.index(&y)) << n1;
-                    let xnode = s1.index(&xr);
-                    if y[axis].is_multiple_of(2) {
-                        // x' increases along the edge: stored route runs forward.
-                        let rid = idx1.id(xnode, axis);
-                        rs.push_iter(e1.routes().route(rid).iter().map(|&r| a2 | r));
-                    } else {
-                        // x' decreases: the canonical edge starts at x' - 1;
-                        // reverse its route.
-                        let s1_stride: usize = s1.dims()[axis + 1..].iter().product();
-                        let rid = idx1.id(xnode - s1_stride, axis);
-                        rs.push_iter(e1.routes().route(rid).iter().rev().map(|&r| a2 | r));
-                    }
-                }
-            }
-            shape.advance_coords(&mut z);
-        }
-        rs
+    // Routes, in one preallocated arena. The canonical enumeration visits
+    // nodes in linear order and axes ascending within a node, so node
+    // chunks own dense edge-id runs (`edges_before_node`). A counting
+    // sweep sizes each chunk's share of the arena; the fill then writes
+    // every chunk's offsets and nodes in place.
+    let rule = ProductRoutes {
+        shape,
+        s1,
+        s2,
+        e1,
+        e2,
+        idx1: MeshEdgeIndex::new(s1),
+        idx2: MeshEdgeIndex::new(s2),
+        stride1: (0..k)
+            .map(|a| s1.dims()[a + 1..].iter().product())
+            .collect(),
+        n1,
     };
-
     let routes = {
         let _span = obs::span!("product.routes");
+        let view = MeshEdgeView::new(shape);
         let chunks = node_chunks(shape.nodes());
-        if chunks.len() == 1 {
-            fill_routes(0..shape.nodes())
-        } else {
-            let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill_routes(chunks[i].clone()));
-            let total_nodes: usize = parts
-                .iter()
-                .map(|p| p.total_length() as usize + p.len())
-                .sum();
-            let mut combined = RouteSet::with_capacity(view.edge_count(), total_nodes);
-            for p in &parts {
-                combined.append(p);
-            }
-            combined
-        }
+        let node_lens = {
+            let _span = obs::span!("product.routes.count");
+            cubemesh_pool::run_tasks(chunks.len(), |i| {
+                let mut len = 0usize;
+                rule.for_each(chunks[i].clone(), |r| len += r.src.len());
+                len
+            })
+        };
+        let _span = obs::span!("product.routes.fill");
+        let edge_lens = chunks
+            .iter()
+            .map(|r| view.edges_before_node(r.end) - view.edges_before_node(r.start));
+        let bases: Vec<usize> = node_lens
+            .iter()
+            .scan(0usize, |acc, &len| {
+                let base = *acc;
+                *acc += len;
+                Some(base)
+            })
+            .collect();
+        let mut offsets = vec![0u32; view.edge_count() + 1];
+        let mut arena = vec![0u64; node_lens.iter().sum()];
+        let parts: Vec<_> = split_lens(&mut offsets[1..], edge_lens)
+            .into_iter()
+            .zip(split_lens(&mut arena, node_lens.iter().copied()))
+            .collect();
+        fill_parts(parts, |i, (offs, nodes): (&mut [u32], &mut [u64])| {
+            let mut edge = 0usize;
+            let mut at = 0usize;
+            rule.for_each(chunks[i].clone(), |r| {
+                let dst = &mut nodes[at..at + r.src.len()];
+                if r.reversed {
+                    for (d, &s) in dst.iter_mut().zip(r.src.iter().rev()) {
+                        *d = (s << r.shift) | r.mask;
+                    }
+                } else {
+                    for (d, &s) in dst.iter_mut().zip(r.src) {
+                        *d = (s << r.shift) | r.mask;
+                    }
+                }
+                at += r.src.len();
+                offs[edge] = (bases[i] + at) as u32;
+                edge += 1;
+            });
+        });
+        #[expect(
+            clippy::expect_used,
+            reason = "the counting sweep sizes every chunk to the routes its fill writes, and factor routes are non-empty"
+        )]
+        let routes =
+            RouteSet::from_parts(offsets, arena).expect("product route arena is well formed");
+        routes
     };
 
     Embedding::new_mesh(shape, host, map, routes)

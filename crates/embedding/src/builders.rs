@@ -13,8 +13,10 @@ use crate::map::Embedding;
 use crate::route::RouteSet;
 use crate::router::{route_all, RouteStrategy};
 use cubemesh_gray::{gray_fill_run, gray_mesh_address, AxisLayout};
+use cubemesh_obs as obs;
 use cubemesh_topology::{Hypercube, Mesh, Shape};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Below this many guest nodes a mesh sweep stays sequential: thread
 /// spawn/join overhead would dominate, and censuses construct thousands
@@ -34,6 +36,36 @@ pub fn node_chunks(nodes: usize) -> Vec<Range<usize>> {
         .map(|w| w.saturating_mul(chunk).min(nodes)..(w + 1).saturating_mul(chunk).min(nodes))
         .filter(|r| !r.is_empty())
         .collect()
+}
+
+/// Cut `buf` into consecutive disjoint pieces of the given lengths: the
+/// per-task output slices [`fill_parts`] hands out.
+///
+/// # Panics
+/// Panics if the lengths add up to more than `buf.len()`.
+pub fn split_lens<T>(mut buf: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, rest) = std::mem::take(&mut buf).split_at_mut(len);
+            buf = rest;
+            head
+        })
+        .collect()
+}
+
+/// Run `fill(i, part)` for every part as one pool region, task `i` taking
+/// `parts[i]` by value. Parts are disjoint `&mut` slices of preallocated
+/// outputs ([`split_lens`]), so each worker writes its chunk in place:
+/// no per-task buffer and no merge copy. One part runs inline.
+pub fn fill_parts<P: Default + Send>(parts: Vec<P>, fill: impl Fn(usize, P) + Sync) {
+    let slots: Vec<Mutex<P>> = parts.into_iter().map(Mutex::new).collect();
+    cubemesh_pool::run_tasks(slots.len(), |i| {
+        // Task `i` runs exactly once, so it finds its part still in the slot.
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        let part = std::mem::take(&mut *slot);
+        drop(slot);
+        fill(i, part);
+    });
 }
 
 /// The canonical mesh edge enumeration as an implicit, index-computable
@@ -176,26 +208,17 @@ pub fn mesh_edge_list(mesh: &Mesh) -> Vec<(u32, u32)> {
 /// Fill the node map of `shape` by evaluating `f` on every coordinate
 /// vector, fanning out over node-range chunks when the mesh is large.
 pub fn fill_node_map(shape: &Shape, f: impl Fn(&[usize]) -> u64 + Sync) -> Vec<u64> {
-    let nodes = shape.nodes();
-    let chunks = node_chunks(nodes);
-    let fill = |range: Range<usize>| {
-        let mut part = Vec::with_capacity(range.len());
+    let chunks = node_chunks(shape.nodes());
+    let mut map = vec![0u64; shape.nodes()];
+    let parts = split_lens(&mut map, chunks.iter().map(ExactSizeIterator::len));
+    fill_parts(parts, |i, part: &mut [u64]| {
         let mut coords = vec![0usize; shape.rank()];
-        shape.coords_into(range.start, &mut coords);
-        for _ in range {
-            part.push(f(&coords));
+        shape.coords_into(chunks[i].start, &mut coords);
+        for addr in part {
+            *addr = f(&coords);
             shape.advance_coords(&mut coords);
         }
-        part
-    };
-    if chunks.len() == 1 {
-        return fill(0..nodes);
-    }
-    let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill(chunks[i].clone()));
-    let mut map = Vec::with_capacity(nodes);
-    for part in parts {
-        map.extend_from_slice(&part);
-    }
+    });
     map
 }
 
@@ -247,13 +270,14 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
     }
     let last = shape.len(rank - 1);
     let shift = layout.bit_offset(rank - 1);
-    let fill = |range: Range<usize>| {
-        let mut part = vec![0u64; range.len()];
+    let chunks = node_chunks(nodes);
+    let mut map = vec![0u64; nodes];
+    let parts = split_lens(&mut map, chunks.iter().map(ExactSizeIterator::len));
+    fill_parts(parts, |i, mut out: &mut [u64]| {
         let mut coords = vec![0usize; rank];
         // A chunk boundary may fall mid-run; re-derive coordinates per
         // run start and emit the (possibly clipped) run in one call.
-        let mut pos = range.start;
-        let mut out = part.as_mut_slice();
+        let mut pos = chunks[i].start;
         while !out.is_empty() {
             shape.coords_into(pos, &mut coords);
             let x0 = coords[rank - 1];
@@ -264,17 +288,7 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
             pos += run;
             out = rest;
         }
-        part
-    };
-    let chunks = node_chunks(nodes);
-    if chunks.len() == 1 {
-        return fill(0..nodes);
-    }
-    let parts = cubemesh_pool::run_tasks(chunks.len(), |i| fill(chunks[i].clone()));
-    let mut map = Vec::with_capacity(nodes);
-    for part in parts {
-        map.extend_from_slice(&part);
-    }
+    });
     map
 }
 
@@ -285,31 +299,60 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
 /// [`Shape::gray_is_minimal`] holds (Theorem 1 makes this the best any
 /// dilation-one embedding can do). The map and the route arena are both
 /// filled in parallel node-range chunks on large meshes.
+///
+/// # Panics
+/// Never in practice: the route arena is laid out by construction, so
+/// [`RouteSet::from_parts`] cannot reject it.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
+)]
 pub fn gray_mesh_embedding(shape: &Shape) -> Embedding {
     let layout = AxisLayout::from_shape(shape);
     let host = Hypercube::new(layout.total_dim());
-    let map = gray_node_map(shape, &layout);
+    let map = {
+        let _span = obs::span!("gray.map");
+        gray_node_map(shape, &layout)
+    };
     let view = MeshEdgeView::new(shape);
 
-    // Every Gray route is the two-node path between adjacent addresses.
-    let build = |range: Range<usize>| {
-        let lo = view.edges_before_node(range.start);
-        let hi = view.edges_before_node(range.end);
-        let mut part = RouteSet::with_capacity(hi - lo, (hi - lo) * 2);
-        for (u, v) in view.iter_nodes(range) {
-            part.push_pair(map[u as usize], map[v as usize]);
-        }
-        part
-    };
-    let chunks = node_chunks(shape.nodes());
-    let routes = if chunks.len() == 1 {
-        build(0..shape.nodes())
-    } else {
-        let parts = cubemesh_pool::run_tasks(chunks.len(), |i| build(chunks[i].clone()));
-        let mut routes = RouteSet::with_capacity(view.edge_count(), view.edge_count() * 2);
-        for part in &parts {
-            routes.append(part);
-        }
+    // Every Gray route is the two-node path between adjacent addresses,
+    // so chunk `i`'s routes occupy offsets `lo+1..=hi` and arena slots
+    // `2·lo..2·hi` for its edge-id range `lo..hi`: each worker writes its
+    // slice of one preallocated arena directly.
+    let routes = {
+        let _span = obs::span!("gray.routes");
+        let chunks = node_chunks(shape.nodes());
+        let edge_lo: Vec<usize> = chunks
+            .iter()
+            .map(|r| view.edges_before_node(r.start))
+            .collect();
+        let lens: Vec<usize> = chunks
+            .iter()
+            .zip(&edge_lo)
+            .map(|(r, &lo)| view.edges_before_node(r.end) - lo)
+            .collect();
+        let mut offsets = vec![0u32; view.edge_count() + 1];
+        let mut arena = vec![0u64; 2 * view.edge_count()];
+        let parts: Vec<_> = split_lens(&mut offsets[1..], lens.iter().copied())
+            .into_iter()
+            .zip(split_lens(&mut arena, lens.iter().map(|&n| 2 * n)))
+            .collect();
+        fill_parts(parts, |i, (offs, pairs): (&mut [u32], &mut [u64])| {
+            let mut end = 2 * edge_lo[i];
+            let edges = view.iter_nodes(chunks[i].clone());
+            for ((off, pair), (u, v)) in offs.iter_mut().zip(pairs.chunks_exact_mut(2)).zip(edges) {
+                pair[0] = map[u as usize];
+                pair[1] = map[v as usize];
+                end += 2;
+                *off = end as u32;
+            }
+        });
+        #[expect(
+            clippy::expect_used,
+            reason = "offsets step by exactly 2 from 0 to 2·edges, the arena length"
+        )]
+        let routes = RouteSet::from_parts(offsets, arena).expect("Gray route arena is well formed");
         routes
     };
     Embedding::new_mesh(shape, host, map, routes)

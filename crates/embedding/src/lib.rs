@@ -31,6 +31,6 @@ pub use builders::{
 };
 pub use map::{Embedding, GuestEdges};
 pub use metrics::{load_factor, Metrics};
-pub use route::RouteSet;
+pub use route::{RouteSet, RouteSetError};
 pub use router::RouteStrategy;
 pub use verify::{verify_many_to_one, VerifyError};

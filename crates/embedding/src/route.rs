@@ -12,13 +12,42 @@
 pub struct RouteSet {
     offsets: Vec<u32>,
     nodes: Vec<u64>,
-    /// Maintained incrementally: `true` while every stored route has
+    /// Maintained incrementally by the `push*` methods and derived once by
+    /// [`RouteSet::from_parts`]: `true` while every stored route has
     /// exactly two nodes. Lets metrics/verify take the pair fast paths
     /// (reading `nodes` as `(u, v)` lanes) without scanning `offsets` —
     /// `nodes.len() == 2 * len()` alone would not prove it (a 3-node
     /// route plus a 1-node route has the same totals).
     pairs_only: bool,
 }
+
+/// Why [`RouteSet::from_parts`] rejected an arena.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RouteSetError {
+    /// The offsets table is empty or does not start at 0.
+    OffsetsStart { found: Option<u32> },
+    /// Route `route` has no nodes: its end offset does not exceed its start.
+    EmptyRoute { route: usize },
+    /// The last offset `end` is not the arena length `arena`.
+    EndMismatch { end: u32, arena: usize },
+}
+
+impl std::fmt::Display for RouteSetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouteSetError::OffsetsStart { found: Some(o) } => {
+                write!(f, "route offsets start at {o}, not 0")
+            }
+            RouteSetError::OffsetsStart { found: None } => write!(f, "route offsets are empty"),
+            RouteSetError::EmptyRoute { route } => write!(f, "route {route} is empty"),
+            RouteSetError::EndMismatch { end, arena } => {
+                write!(f, "route offsets end at {end}, arena holds {arena} nodes")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RouteSetError {}
 
 impl Default for RouteSet {
     /// Same as [`RouteSet::new`]. (A derived `Default` would leave
@@ -83,19 +112,44 @@ impl RouteSet {
         self.offsets.len() - 2
     }
 
-    /// Splice another route set onto the end of this one, preserving
-    /// route order — the merge step for route arenas filled by parallel
-    /// workers over contiguous edge chunks.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "route arenas store u32 offsets by layout; an arena past 2^32 nodes (32 GiB of u64) exceeds every constructible embedding"
-    )]
-    pub fn append(&mut self, other: &RouteSet) {
-        let base = self.nodes.len() as u32;
-        self.pairs_only &= other.pairs_only || other.is_empty();
-        self.nodes.extend_from_slice(&other.nodes);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
+    /// Assemble a route set from a finished arena: `offsets[i]..offsets[i+1]`
+    /// is route `i`'s slice of `nodes`. This is how parallel builders hand
+    /// over an arena they filled in place, chunk by chunk. The layout is
+    /// validated in one pass over `offsets`, which also derives
+    /// [`RouteSet::all_pairs`].
+    ///
+    /// # Errors
+    /// [`RouteSetError`] if `offsets` does not start at 0, a route is
+    /// empty (offsets not strictly increasing), or the last offset is not
+    /// `nodes.len()`.
+    pub fn from_parts(offsets: Vec<u32>, nodes: Vec<u64>) -> Result<Self, RouteSetError> {
+        match offsets.first() {
+            Some(0) => {}
+            first => {
+                return Err(RouteSetError::OffsetsStart {
+                    found: first.copied(),
+                })
+            }
+        }
+        let mut pairs_only = true;
+        for (route, w) in offsets.windows(2).enumerate() {
+            if w[1] <= w[0] {
+                return Err(RouteSetError::EmptyRoute { route });
+            }
+            pairs_only &= w[1] - w[0] == 2;
+        }
+        let end = offsets[offsets.len() - 1];
+        if end as usize != nodes.len() {
+            return Err(RouteSetError::EndMismatch {
+                end,
+                arena: nodes.len(),
+            });
+        }
+        Ok(RouteSet {
+            offsets,
+            nodes,
+            pairs_only,
+        })
     }
 
     /// Append a route given as an iterator.
@@ -232,44 +286,74 @@ mod tests {
         rs.push_iter([4u64, 5]);
         assert!(rs.all_pairs());
         assert_eq!(rs.pair_lanes(), &[0, 1, 2, 3, 4, 5]);
-        let mut other = RouteSet::new();
-        other.push_pair(8, 9);
-        rs.append(&other);
-        assert!(rs.all_pairs());
         // A 3-node route plus a 1-node route keeps nodes.len() == 2·len()
         // but must clear the flag.
         rs.push(&[6, 7, 7]);
         rs.push(&[9]);
         assert!(!rs.all_pairs());
-        // And appending a non-pair set clears it on the target.
-        let mut c = RouteSet::new();
-        c.push_pair(1, 2);
-        c.append(&rs);
-        assert!(!c.all_pairs());
-        // Appending an empty set never clears the flag.
-        let mut d = RouteSet::new();
-        d.push_pair(3, 4);
-        d.append(&RouteSet::new());
-        assert!(d.all_pairs());
     }
 
     #[test]
-    fn append_splices_in_order() {
-        let mut a = RouteSet::new();
-        a.push(&[0, 1]);
-        a.push(&[4, 5, 7]);
-        let mut b = RouteSet::new();
-        b.push_pair(2, 3);
-        b.push(&[9]);
-        a.append(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.route(0), &[0, 1]);
-        assert_eq!(a.route(1), &[4, 5, 7]);
-        assert_eq!(a.route(2), &[2, 3]);
-        assert_eq!(a.route(3), &[9]);
-        assert_eq!(a.total_length(), 4);
-        // Appending an empty set is a no-op.
-        a.append(&RouteSet::new());
-        assert_eq!(a.len(), 4);
+    fn from_parts_derives_the_pairs_flag() {
+        let pairs = RouteSet::from_parts(vec![0, 2, 4, 6], vec![0, 1, 2, 3, 8, 9]).unwrap();
+        assert!(pairs.all_pairs());
+        assert_eq!(pairs.pair_lanes(), &[0, 1, 2, 3, 8, 9]);
+        // Same totals as three pairs, but a 3-node and a 1-node route.
+        let mixed = RouteSet::from_parts(vec![0, 2, 5, 6], vec![0, 1, 6, 7, 7, 9]).unwrap();
+        assert!(!mixed.all_pairs());
+        // An empty arena is all pairs, like `RouteSet::new`.
+        let empty = RouteSet::from_parts(vec![0], Vec::new()).unwrap();
+        assert!(empty.is_empty() && empty.all_pairs());
+    }
+
+    #[test]
+    fn from_parts_splices_in_order() {
+        // Two chunks' routes laid end to end in one arena, the way parallel
+        // builders fill it.
+        let rs = RouteSet::from_parts(vec![0, 2, 5, 7, 8], vec![0, 1, 4, 5, 7, 2, 3, 9]).unwrap();
+        assert_eq!(rs.len(), 4);
+        assert_eq!(rs.route(0), &[0, 1]);
+        assert_eq!(rs.route(1), &[4, 5, 7]);
+        assert_eq!(rs.route(2), &[2, 3]);
+        assert_eq!(rs.route(3), &[9]);
+        assert_eq!(rs.total_length(), 4);
+        assert!(!rs.all_pairs());
+    }
+
+    #[test]
+    fn from_parts_rejects_offsets_not_starting_at_zero() {
+        assert_eq!(
+            RouteSet::from_parts(vec![1, 3], vec![0, 1, 2]).unwrap_err(),
+            RouteSetError::OffsetsStart { found: Some(1) }
+        );
+        assert_eq!(
+            RouteSet::from_parts(Vec::new(), Vec::new()).unwrap_err(),
+            RouteSetError::OffsetsStart { found: None }
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_an_empty_route() {
+        assert_eq!(
+            RouteSet::from_parts(vec![0, 2, 2, 4], vec![0, 1, 2, 3]).unwrap_err(),
+            RouteSetError::EmptyRoute { route: 1 }
+        );
+        // A decreasing offset is an empty (negative-length) route too.
+        assert_eq!(
+            RouteSet::from_parts(vec![0, 3, 2], vec![0, 1, 2]).unwrap_err(),
+            RouteSetError::EmptyRoute { route: 1 }
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_an_end_that_is_not_the_arena_length() {
+        assert_eq!(
+            RouteSet::from_parts(vec![0, 2], vec![0, 1, 3]).unwrap_err(),
+            RouteSetError::EndMismatch { end: 2, arena: 3 }
+        );
+        assert_eq!(
+            RouteSet::from_parts(vec![0, 4], vec![0, 1, 3]).unwrap_err(),
+            RouteSetError::EndMismatch { end: 4, arena: 3 }
+        );
     }
 }

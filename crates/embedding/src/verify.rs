@@ -134,9 +134,42 @@ pub fn verify_embedding_par(e: &Embedding) -> Result<(), VerifyError> {
     verify_many_to_one_par(e)
 }
 
-/// Injectivity, by sorting (address, node) pairs.
+/// Injectivity. When a bitmap over the host cube is no larger than the
+/// sort's pair vector (`2^dim` bits vs 128 bits per node), one pass marks
+/// it; a collision or an out-of-range address falls back to the sort,
+/// which names the exact error, so the reported [`VerifyError`] and its
+/// precedence over [`check_addresses`] do not depend on the path taken.
 fn check_injective(e: &Embedding) -> Result<(), VerifyError> {
-    let mut pairs: Vec<(u64, usize)> = e.map().iter().enumerate().map(|(v, &a)| (a, v)).collect();
+    let _span = obs::span!("verify.injective");
+    let dim = e.host().dim();
+    let fits = (e.map().len() as u128) << 7 >= 1u128 << dim;
+    if fits && bitmap_injective(e.map(), dim) {
+        return Ok(());
+    }
+    check_injective_sorted(e.map())
+}
+
+/// `true` if every address is below `2^dim` and none repeats.
+fn bitmap_injective(map: &[u64], dim: u32) -> bool {
+    let mut bits = vec![0u64; (1usize << dim).div_ceil(64)];
+    for &a in map {
+        if a >> dim != 0 {
+            return false;
+        }
+        let word = &mut bits[(a >> 6) as usize];
+        let bit = 1u64 << (a & 63);
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+    }
+    true
+}
+
+/// Injectivity, by sorting (address, node) pairs: the exact-error path.
+/// Reports the smallest repeated address with its two lowest nodes.
+fn check_injective_sorted(map: &[u64]) -> Result<(), VerifyError> {
+    let mut pairs: Vec<(u64, usize)> = map.iter().enumerate().map(|(v, &a)| (a, v)).collect();
     pairs.sort_unstable();
     for w in pairs.windows(2) {
         if w[0].0 == w[1].0 {
@@ -328,7 +361,8 @@ fn check_pair_route_range(
 mod tests {
     use super::*;
     use crate::route::RouteSet;
-    use cubemesh_topology::Hypercube;
+    use cubemesh_topology::{cube_dim, Hypercube};
+    use proptest::prelude::*;
 
     fn build(map: Vec<u64>, edges: Vec<(u32, u32)>, routes: Vec<Vec<u64>>) -> Embedding {
         let mut rs = RouteSet::new();
@@ -443,5 +477,85 @@ mod tests {
             par,
             Err(VerifyError::RouteEndMismatch { edge: 1, .. })
         ));
+    }
+
+    /// The verify error the sort-based injectivity check gives: the
+    /// exact-error reference the bitmap path must reproduce.
+    fn sort_reference(e: &Embedding) -> Result<(), VerifyError> {
+        check_injective_sorted(e.map())?;
+        verify_many_to_one_seq(e)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bitmap_injectivity_reports_the_sort_error(
+            n in 1usize..400,
+            extra in 0u32..12,
+            mult in any::<u64>(),
+            offset in any::<u64>(),
+            dups in 0u32..4,
+            dup_at in any::<usize>(),
+            out_of_range in any::<bool>(),
+            oor_at in any::<usize>(),
+            oor_by in 0u64..4,
+        ) {
+            // `extra` spans both sides of the bitmap rule 2^dim <= 128·n:
+            // dim = cube_dim(n) + 0..=7 takes the bitmap, + 8.. the sort.
+            let dim = cube_dim(n as u64) + extra;
+            let mask = (1u64 << dim) - 1;
+            // An odd multiplier permutes the 2^dim addresses: distinct.
+            let mut map: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(mult | 1).wrapping_add(offset) & mask)
+                .collect();
+            let pick = |k: usize, salt: u32| k.rotate_left(salt * 13) % n;
+            for d in 0..dups {
+                let (a, b) = (pick(dup_at, 2 * d), pick(dup_at, 2 * d + 1));
+                map[b] = map[a];
+            }
+            if out_of_range {
+                map[pick(oor_at, 0)] = (1u64 << dim) + oor_by;
+            }
+            let e = Embedding::new(n, Vec::new(), Hypercube::new(dim), map, RouteSet::new());
+            let expect = sort_reference(&e);
+            prop_assert_eq!(verify_embedding_seq(&e), expect.clone());
+            prop_assert_eq!(verify_embedding_par(&e), expect.clone());
+            if dups == 0 && !out_of_range {
+                prop_assert!(expect.is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_rule_boundary_agrees_with_sort() {
+        // 16 nodes: dim 11 = 2^11 = 128·16 still takes the bitmap, dim 12
+        // the sort; both must report the same duplicate and range errors.
+        for dim in [4u32, 11, 12] {
+            let mut map: Vec<u64> = (0..16).collect();
+            map[9] = 3;
+            map[12] = 3;
+            map[5] = 1u64 << dim;
+            let e = Embedding::new(16, Vec::new(), Hypercube::new(dim), map, RouteSet::new());
+            assert_eq!(
+                verify_embedding(&e),
+                Err(VerifyError::NotInjective {
+                    node_a: 3,
+                    node_b: 9,
+                    address: 3
+                })
+            );
+            assert_eq!(verify_embedding(&e), sort_reference(&e));
+            let mut map: Vec<u64> = (0..16).collect();
+            map[7] = (1u64 << dim) + 1;
+            let e = Embedding::new(16, Vec::new(), Hypercube::new(dim), map, RouteSet::new());
+            assert_eq!(
+                verify_embedding(&e),
+                Err(VerifyError::AddressOutOfRange {
+                    node: 7,
+                    address: (1u64 << dim) + 1
+                })
+            );
+        }
     }
 }

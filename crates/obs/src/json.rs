@@ -105,6 +105,7 @@ pub const MAX_DEPTH: usize = 64;
 /// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -119,6 +120,7 @@ pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -275,15 +277,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| (self.pos, "invalid UTF-8 in string".to_owned()))?;
-                    let Some(c) = s.chars().next() else {
-                        return self.err("unterminated string");
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -359,6 +361,24 @@ mod tests {
         assert!(parse(&at_cap).is_ok());
         let past_cap = format!("[{at_cap}]");
         assert!(parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of plain text with multi-byte characters and escapes: a
+        // per-character rescan of the rest of the line would take minutes.
+        let body = "ab→c".repeat(1 << 20);
+        let v = parse(&format!("[\"{body}\\n{body}\"]")).unwrap();
+        let s = v.as_arr().unwrap()[0].as_str().unwrap();
+        assert_eq!(s.len(), 2 * body.len() + 1);
+        assert!(s.starts_with("ab→cab") && s.ends_with("→c"));
+        assert_eq!(&s[body.len()..=body.len()], "\n");
+        // An unterminated long string is still an error at its end.
+        let open = format!("\"{body}");
+        assert_eq!(
+            parse(&open).unwrap_err(),
+            (open.len(), "unterminated string".into())
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 use crate::routes::certify_congestion;
 use cubemesh_embedding::builders::mesh_edge_list;
 use cubemesh_embedding::{mesh_embedding_with_router, Embedding, RouteStrategy};
+use cubemesh_obs as obs;
 use cubemesh_topology::{Hypercube, Mesh, Shape};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One baked direct embedding: a row-major node map for `dims` into the
 /// minimal cube `Q_{host_dim}`.
@@ -106,8 +109,34 @@ pub fn catalog_map(shape: &Shape) -> Option<Vec<u64>> {
 /// ([`assign_bounded_congestion`](crate::routes::assign_bounded_congestion)); entries are only admitted to the
 /// catalog if that certification succeeds, so the fallback to balanced
 /// greedy routing below is defensive.
+///
+/// Built embeddings are memoised per shape for the life of the process:
+/// products reuse a few small factors many times, and a permuted entry
+/// whose routes need the exact backtracker costs ~100 ms a build. Only
+/// catalog shapes enter the memo, so it holds at most one embedding per
+/// entry and axis order, each under 256 nodes. The build runs outside
+/// the lock; a racing build of the same shape yields the same bytes.
 pub fn catalog_embedding(shape: &Shape) -> Option<Embedding> {
+    static MEMO: OnceLock<Mutex<HashMap<Vec<usize>, Embedding>>> = OnceLock::new();
+    let memo = MEMO.get_or_init(Mutex::default);
+    let cached = memo
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(shape.dims())
+        .cloned();
+    if cached.is_some() {
+        return cached;
+    }
+    let emb = build_catalog_embedding(shape)?;
+    memo.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(shape.dims().to_vec(), emb.clone());
+    Some(emb)
+}
+
+fn build_catalog_embedding(shape: &Shape) -> Option<Embedding> {
     let (entry, _) = catalog_lookup(shape)?;
+    let _span = obs::span!("catalog.build");
     let map = catalog_map(shape)?;
     let host = Hypercube::new(entry.host_dim);
     let mesh = Mesh::new(shape.clone());

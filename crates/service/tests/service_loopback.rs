@@ -15,7 +15,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cubemesh-service-{}-{name}", std::process::id()));
@@ -244,7 +244,11 @@ fn live_server() -> cubemesh_service::Server {
 }
 
 fn connect(server: &cubemesh_service::Server) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    connect_addr(server.local_addr())
+}
+
+fn connect_addr(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
     // A server that never answers fails the test instead of hanging it.
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -308,5 +312,52 @@ fn oversized_request_line_gets_an_error_and_a_close() {
     assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)), "{v:?}");
 
     roundtrip(&mut fresh, &mut fresh_reader, "{\"op\":\"shutdown\"}");
+    assert_eq!(server.join(), 0, "no worker may panic");
+}
+
+#[test]
+fn long_json_string_is_answered_quickly_and_does_not_starve_others() {
+    let server = live_server();
+    let start = Instant::now();
+    // One hostile client per worker, each sending a line that holds a
+    // ~1 MiB JSON string. A parser that rescans the rest of the line per
+    // character pins both workers for tens of seconds.
+    let line = format!("{{\"pad\":\"{}\",\"op\":\"nope\"}}", "x".repeat(1 << 20));
+    let hostile: Vec<_> = (0..2)
+        .map(|_| {
+            let (mut stream, mut reader) = connect(&server);
+            stream.write_all(line.as_bytes()).expect("write");
+            stream.write_all(b"\n").expect("write newline");
+            stream.flush().expect("flush");
+            std::thread::spawn(move || {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("read reply");
+                let took = start.elapsed();
+                drop(stream);
+                (took, parse_json(reply.trim()).expect("reply parses"))
+            })
+        })
+        .collect();
+
+    // Meanwhile a third client asks for stats; it gets a worker once a
+    // hostile connection is answered and closed.
+    let (mut stream, mut reader) = connect(&server);
+    let v = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)), "{v:?}");
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_secs(5),
+        "stats answered after {waited:?}"
+    );
+
+    for h in hostile {
+        let (took, v) = h.join().expect("hostile client thread");
+        assert!(error_text(&v).contains("unknown op"), "{v:?}");
+        assert!(
+            took < Duration::from_secs(5),
+            "1 MiB string answered after {took:?}"
+        );
+    }
+    roundtrip(&mut stream, &mut reader, "{\"op\":\"shutdown\"}");
     assert_eq!(server.join(), 0, "no worker may panic");
 }

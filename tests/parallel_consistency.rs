@@ -156,32 +156,87 @@ fn planner_constructions_agree_across_engines() {
     }
 }
 
-/// Pool thread-count invariance: the *same* public entry points (no
-/// `_seq`/`_par` selection) must produce byte-identical artifacts whether
-/// the pool runs one worker, two, or eight — chunk merges are
-/// order-preserving and every reduction is exact-integer, so stealing
-/// order must never show through.
+/// Construction, metrics and verify (each picking its own `_seq`/`_par`
+/// path) must produce byte-identical artifacts whether the pool runs one
+/// worker, two, or eight: every chunk writes its own slice of one
+/// preallocated map and route arena, and every reduction is
+/// exact-integer, so stealing order must never show through. Every shape
+/// here is above `PAR_MIN_NODES`, so the chunked paths really run.
 #[test]
 fn artifacts_identical_across_thread_counts() {
+    use cubemesh::audit::check_plan;
+    use cubemesh::core::Plan;
+    use cubemesh::embedding::builders::{node_chunks, PAR_MIN_NODES};
     use cubemesh::pool::with_threads;
-    let shape = Shape::new(&[6, 6, 6]);
-    let build = |threads: usize| {
-        with_threads(threads, || {
-            let emb = gray_mesh_embedding(&shape);
-            let map = emb.map().to_vec();
-            let routes: Vec<Vec<u64>> = emb.routes().iter().map(|r| r.to_vec()).collect();
-            let metrics = emb.metrics();
-            let verify = emb.verify();
-            (map, routes, metrics, verify)
-        })
+
+    let product = Shape::new(&[56, 48, 48]);
+    let planned = Planner::new().plan(&product).expect("56x48x48 has a plan");
+    assert!(matches!(planned, Plan::Product { .. }), "{planned}");
+    // The 3x3x7 catalog entry in a permuted axis order, whose routes the
+    // exact assigner has to search for.
+    let permuted = Plan::Product {
+        f1: Shape::new(&[7, 3, 3]),
+        p1: Box::new(Plan::Direct),
+        f2: Shape::new(&[8, 16, 16]),
+        p2: Box::new(Plan::Gray),
     };
-    let base = build(1);
+    check_plan(&product, &permuted).expect("permuted-factor plan certifies");
+    let gray = Shape::new(&[41, 43, 45]);
     for threads in [2usize, 8] {
-        let got = build(threads);
-        assert_eq!(got.0, base.0, "node map diverged at {threads} threads");
-        assert_eq!(got.1, base.1, "routes diverged at {threads} threads");
-        assert_eq!(got.2, base.2, "metrics diverged at {threads} threads");
-        assert_eq!(got.3, base.3, "verify diverged at {threads} threads");
+        // 41·43 rows is odd, so some chunk boundary falls mid-run of the
+        // innermost axis, where the batched Gray fill clips a run.
+        let starts = with_threads(threads, || node_chunks(gray.nodes()));
+        assert!(
+            starts.iter().any(|r| r.start % gray.len(2) != 0),
+            "no mid-run chunk boundary at {threads} threads"
+        );
+    }
+    let cases = [
+        (gray, Plan::Gray),
+        (product.clone(), planned),
+        (product, permuted),
+    ];
+    for (shape, plan) in &cases {
+        assert!(shape.nodes() >= PAR_MIN_NODES, "{shape} stays sequential");
+        let build = |threads: usize| {
+            with_threads(threads, || {
+                let emb = construct(shape, plan).expect("plan lowers");
+                let map = emb.map().to_vec();
+                let routes: Vec<Vec<u64>> = emb.routes().iter().map(|r| r.to_vec()).collect();
+                (
+                    map,
+                    routes,
+                    emb.routes().all_pairs(),
+                    emb.metrics(),
+                    emb.verify(),
+                )
+            })
+        };
+        let base = build(1);
+        assert_eq!(base.4, Ok(()), "{shape} {plan} does not verify");
+        for threads in [2usize, 8] {
+            let got = build(threads);
+            assert_eq!(
+                got.0, base.0,
+                "{shape} {plan}: node map diverged at {threads} threads"
+            );
+            assert_eq!(
+                got.1, base.1,
+                "{shape} {plan}: routes diverged at {threads} threads"
+            );
+            assert_eq!(
+                got.2, base.2,
+                "{shape} {plan}: pairs flag diverged at {threads} threads"
+            );
+            assert_eq!(
+                got.3, base.3,
+                "{shape} {plan}: metrics diverged at {threads} threads"
+            );
+            assert_eq!(
+                got.4, base.4,
+                "{shape} {plan}: verify diverged at {threads} threads"
+            );
+        }
     }
 }
 
