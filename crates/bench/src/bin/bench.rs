@@ -65,6 +65,11 @@
 //! load against the static congestion certificate, and times a rate
 //! sweep's saturation-knee search. `--quick` keeps one replay rung.
 //!
+//! Every run ends with the tracing-overhead trials of
+//! [`cubemesh_bench::overhead`] (the `overhead` object of `--out`) and
+//! exits non-zero if trace-on costs over 5 % or the disabled guards over
+//! 1 % of a 64^3 construct.
+//!
 //! Each stage is timed as the minimum over `--reps` repetitions: on a
 //! shared/noisy host a single-shot timing can be off by an order of
 //! magnitude, and the minimum is the best estimate of the code's cost.
@@ -82,6 +87,7 @@
     reason = "u64 nanoseconds overflow only after 584 years; replay message counts fit usize"
 )]
 
+use cubemesh_bench::overhead::{self, Overhead};
 use cubemesh_bench::HostId;
 use cubemesh_core::{construct, Planner};
 use cubemesh_embedding::Embedding;
@@ -250,7 +256,8 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung], host: &HostId) -> String {
+fn to_json(rungs: &[Rung], kernels: &[KernelRung], overhead: &Overhead, host: &HostId) -> String {
+    let threads = pool::effective_threads();
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"BENCH_3\",");
@@ -314,7 +321,8 @@ fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung], host: &HostId
         );
         out.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
+    let _ = writeln!(out, "  ],\n  \"overhead\": {}", overhead.to_json());
+    out.push_str("}\n");
     out
 }
 
@@ -805,15 +813,6 @@ fn run(args: &[String]) -> ExitCode {
             k.elems_per_s / 1e6
         );
     }
-    let doc = to_json(&rungs, threads, &kernels, &host);
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("cubemesh-bench: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if args.iter().any(|a| a == "--json") {
-        print!("{doc}");
-    }
-    println!("wrote {out_path}");
 
     // Perf-trajectory gate: compare against a prior baseline, fail on any
     // metric past tolerance. Runs before the replay ladder so the exit
@@ -1024,8 +1023,35 @@ fn run(args: &[String]) -> ExitCode {
             Err(e) => eprintln!("trace write failed: {e}"),
         }
     }
+
+    // Tracing-overhead trials, last: a 64^3 construct would raise the
+    // rungs' peak RSS, and the trials clear the run's stats and trace.
+    let overhead = match overhead::measure() {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("cubemesh-bench: overhead trials: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("    overhead  {}", overhead.to_json());
+    let doc = to_json(&rungs, &kernels, &overhead, &host);
+    if let Err(e) = std::fs::write(&out_path, &doc) {
+        eprintln!("cubemesh-bench: writing {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    if args.iter().any(|a| a == "--json") {
+        print!("{doc}");
+    }
+    println!("wrote {out_path}");
+
+    let violations = overhead.violations();
+    for v in &violations {
+        eprintln!("cubemesh-bench: OVERHEAD bound violated: {v}");
+    }
     if regressed {
         eprintln!("cubemesh-bench: REGRESSION beyond tolerance (see compare report above)");
+    }
+    if regressed || !violations.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

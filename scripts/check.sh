@@ -148,12 +148,16 @@ cargo run --release -q -p cubemesh-audit -- certify --json --sweep 8 \
 test -s target/audit-certify.json
 echo "wrote target/audit-certify.json"
 
-echo "== bench: quick smoke + perf-trajectory gate vs BENCH_3/BENCH_5 =="
+echo "== bench: quick smoke + perf-trajectory and tracing-overhead gates =="
 # The bench bin exits non-zero if the parallel and sequential engines
 # disagree on any shape, if the BENCH_4 replay rung violates its
-# congestion certificate, or if any compare metric regresses past
+# congestion certificate, if any compare metric regresses past
 # tolerance against the committed baselines (BENCH_3 shape/kernel rungs
-# and BENCH_5 query-service rungs). Full ladders stay out of tier-1;
+# and BENCH_5 query-service rungs), or if a tracing-overhead bound is
+# violated: paired off/stats/trace trials on a 64^3 construct must keep
+# the median trace/off ratio <= 1.05 and the disabled guards' estimated
+# cost <= 1% of a construct (the "overhead" object in
+# target/bench-quick.json). Full ladders stay out of tier-1;
 # --quick runs the small shapes plus one replay point (the service
 # ladder always runs at fixed parameters). The run is traced, and the
 # trace plus the compare report are archived under target/.
@@ -168,6 +172,7 @@ cargo run --release -q -p cubemesh-bench --bin cubemesh-bench -- \
     --compare-service BENCH_5.json \
     --trace target/trace-quick.json >/dev/null
 test -s target/bench-quick.json
+grep -q '"overhead"' target/bench-quick.json
 test -s target/replay-report.json
 test -s target/bench-compare.json
 test -s target/bench-service.json
